@@ -42,7 +42,6 @@ from .datum import (
     consistency_check,
     derive_datum,
     derive_mu,
-    derive_sigma,
     derive_t,
     eval_word,
     gamma_from_dict,
@@ -107,7 +106,6 @@ __all__ = [
     "degree_of",
     "derive_datum",
     "derive_mu",
-    "derive_sigma",
     "derive_t",
     "elem_add",
     "elem_mul",

@@ -40,6 +40,15 @@ SuperMonomial = tuple
 _SCALARS = (int, Fraction)
 
 
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple, refusing anything but plain ints (bools too)."""
+    out = tuple(values)
+    for v in out:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ambient algebra choice: sign variant plus one parity per index."""
@@ -50,7 +59,7 @@ class Signature:
     def __post_init__(self):
         if self.sign not in ("plus", "minus"):
             raise ValueError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
-        parity = tuple(int(p) for p in self.parity)
+        parity = int_tuple(self.parity, "parity entries")
         if not parity:
             raise ValueError("a signature needs at least one generator pair")
         if any(p not in (0, 1) for p in parity):

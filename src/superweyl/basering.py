@@ -250,8 +250,7 @@ def iota_embed(r: BaseRingElement) -> SuperElement:
 def project_zero(a: SuperElement) -> BaseRingElement:
     """Degree-zero component of a superalgebra element, written in the u_i.
 
-    Uses x_i^k d_i^k = (u_i - 1)(u_i - 2)...(u_i - k) on non-Clifford
-    directions and x_i d_i = 1 - u_i on Clifford ones; per-index degree-zero
+    Each block x_i^k d_i^k becomes ``xd_polynomial``; per-index degree-zero
     blocks commute, so the factors multiply freely.
     """
     sig = a.sig
@@ -261,17 +260,21 @@ def project_zero(a: SuperElement) -> BaseRingElement:
             continue
         term = BaseRingElement.const(sig, coeff)
         for i, (k, _) in enumerate(mono):
-            if k == 0:
-                continue
-            u = BaseRingElement.u(sig, i)
-            if sig.is_clifford(i):
-                factor = BaseRingElement.one(sig) - u
-            else:
-                factor = BaseRingElement.one(sig)
-                for s in range(1, k + 1):
-                    factor = factor * (u - BaseRingElement.const(sig, s))
-            term = term * factor
+            if k:
+                term = term * xd_polynomial(sig, i, k)
         out = out + term
+    return out
+
+
+def xd_polynomial(sig: Signature, i: int, k: int) -> BaseRingElement:
+    """x_i^k d_i^k written in u_i: (u_i - 1)(u_i - 2)...(u_i - k), or 1 - u_i
+    on a Clifford direction, where k > 1 vanishes and only k = 1 arises."""
+    u = BaseRingElement.u(sig, i)
+    if sig.is_clifford(i):
+        return BaseRingElement.one(sig) - u
+    out = BaseRingElement.one(sig)
+    for s in range(1, k + 1):
+        out = out * (u - BaseRingElement.const(sig, s))
     return out
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .algebra import Signature, SuperElement
-from .basering import BaseRingElement, project_zero, tau_apply
+from .algebra import Signature, SuperElement, int_tuple
+from .basering import BaseRingElement, project_zero, tau_apply, xd_polynomial
 from .errors import InvalidGammaError, SignatureMismatchError
 
 
@@ -32,7 +32,7 @@ class GammaMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(int_tuple(row, "matrix entries") for row in self.rows)
         if len(rows) != self.sig.n:
             raise ValueError(f"matrix has {len(rows)} rows, signature has {self.sig.n}")
         if not rows or not rows[0]:
@@ -170,57 +170,42 @@ def require_valid(gm: GammaMatrix) -> None:
 def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     """Central element t_i = product over rows of the paired-word factor.
 
-    Row r with entry k contributes u_r (u_r + 1) ... (u_r + k - 1) for k > 0
-    and (u_r - 1)...(u_r - |k|) for k < 0 on non-Clifford rows; on a Clifford
-    row the k = -1 factor is 1 - u_r (the reduced form of x_r d_r).
+    Row r with entry k contributes d_r^k x_r^k = u_r (u_r + 1) ... (u_r + k - 1)
+    for k > 0 and x_r^|k| d_r^|k| (``xd_polynomial``) for k < 0.
     """
     require_valid(gm)
+    return _derive_t(gm, col)
+
+
+def _derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     sig = gm.sig
     t = BaseRingElement.one(sig)
-    for r in range(gm.n):
-        k = gm.rows[r][col]
-        if k == 0:
-            continue
-        u = BaseRingElement.u(sig, r)
-        if k > 0:
-            factor = BaseRingElement.one(sig)
+    for r, k in enumerate(gm.column(col)):
+        if k < 0:
+            t = t * xd_polynomial(sig, r, -k)
+        elif k > 0:
+            u = BaseRingElement.u(sig, r)
             for s in range(k):
-                factor = factor * (u + BaseRingElement.const(sig, s))
-        elif sig.is_clifford(r):
-            factor = BaseRingElement.one(sig) - u
-        else:
-            factor = BaseRingElement.one(sig)
-            for s in range(1, -k + 1):
-                factor = factor * (u - BaseRingElement.const(sig, s))
-        t = t * factor
+                t = t * (u + BaseRingElement.const(sig, s))
     return t
-
-
-def derive_sigma(gm: GammaMatrix, col: int) -> tuple[int, ...]:
-    """Exponent vector of sigma_i: column i of the matrix."""
-    require_valid(gm)
-    return gm.column(col)
-
-
-def derive_parities(gm: GammaMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Column parities: p(i) twisted by the row parities, p'(i) the plain sum."""
-    p_rows = gm.sig.parity
-    pparity = tuple(
-        sum(gm.rows[r][c] * p_rows[r] for r in range(gm.n)) & 1 for c in range(gm.m)
-    )
-    pprime = tuple(sum(gm.rows[r][c] for r in range(gm.n)) & 1 for c in range(gm.m))
-    return pparity, pprime
 
 
 def derive_mu(gm: GammaMatrix):
     """Sign matrix mu plus the column parities it is built from.
 
-    mu_ij = base^(p'(i)p'(j)) * (-1)^(p(i)p(j)) with base = -1 for the plus
-    variant and +1 for minus.  The matrix is symmetric; only off-diagonal
-    entries enter the commutation relations.
+    p(i) is the column sum twisted by the row parities, p'(i) the plain sum,
+    both mod 2.  mu_ij = base^(p'(i)p'(j)) * (-1)^(p(i)p(j)) with base = -1
+    for the plus variant and +1 for minus.  The matrix is symmetric; only
+    off-diagonal entries enter the commutation relations.
     """
     require_valid(gm)
-    pparity, pprime = derive_parities(gm)
+    return _derive_mu(gm)
+
+
+def _derive_mu(gm: GammaMatrix):
+    cols = [gm.column(c) for c in range(gm.m)]
+    pparity = tuple(sum(v * p for v, p in zip(col, gm.sig.parity)) & 1 for col in cols)
+    pprime = tuple(sum(col) & 1 for col in cols)
     base = -1 if gm.sig.sign == "plus" else 1
     mu = tuple(
         tuple(
@@ -247,10 +232,10 @@ class TgwDatum:
 
 def derive_datum(gm: GammaMatrix) -> TgwDatum:
     require_valid(gm)
-    mu, pparity, pprime = derive_mu(gm)
+    mu, pparity, pprime = _derive_mu(gm)
     return TgwDatum(
         gm=gm,
-        t=tuple(derive_t(gm, c) for c in range(gm.m)),
+        t=tuple(_derive_t(gm, c) for c in range(gm.m)),
         sigma=tuple(gm.column(c) for c in range(gm.m)),
         mu=mu,
         pparity=pparity,
@@ -338,16 +323,16 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
 def phi_generator(gm: GammaMatrix, col: int, kind: str = "X") -> SuperElement:
     """Image of the generator X_i (column word) or Y_i (its involution)."""
     require_valid(gm)
+    return _phi_generator(gm, col, kind)
+
+
+def _phi_generator(gm: GammaMatrix, col: int, kind: str) -> SuperElement:
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y', got {kind!r}")
     if not 0 <= col < gm.m:
         raise IndexError(f"column {col} out of range for m={gm.m}")
-    sig = gm.sig
-    pairs = [(0, 0)] * sig.n
-    for r in range(sig.n):
-        k = gm.rows[r][col]
-        pairs[r] = (k, 0) if k >= 0 else (0, -k)
-    el = SuperElement.from_mono(sig, tuple(pairs))
+    pairs = tuple((k, 0) if k >= 0 else (0, -k) for k in gm.column(col))
+    el = SuperElement.from_mono(gm.sig, pairs)
     return el if kind == "X" else el.star()
 
 
@@ -376,7 +361,7 @@ def eval_word(gm: GammaMatrix, word: Iterable[tuple[str, int]]) -> GradedElement
     degree = [0] * gm.m
     image = SuperElement.one(gm.sig)
     for kind, col in word:
-        gen = phi_generator(gm, col, kind)
+        gen = _phi_generator(gm, col, kind)
         degree[col] += 1 if kind == "X" else -1
         image = image * gen
     return GradedElement(tuple(degree), image)

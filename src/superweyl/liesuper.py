@@ -25,7 +25,7 @@ from typing import Optional
 
 from .algebra import Signature, SuperElement
 from .basering import BaseRingElement, iota_embed
-from .datum import GammaMatrix, phi_generator, require_valid
+from .datum import GammaMatrix, _phi_generator, require_valid
 from .errors import SignatureMismatchError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
@@ -108,6 +108,8 @@ def unit_calibration(ne: int, n: int) -> Calibration:
 
 @dataclass(frozen=True)
 class LiePreset:
+    """A presentation as built by ``preset``, which validates ``zeta`` once."""
+
     family: str
     p: int
     q: int
@@ -340,7 +342,7 @@ def check_triangle(preset: LiePreset, scalings: Optional[Calibration] = None) ->
     sig = preset.sig
     x_matches = []
     for c in range(preset.zeta.m):
-        x_matches.append(phi_generator(preset.zeta, c, "X") == E[c])
+        x_matches.append(_phi_generator(preset.zeta, c, "X") == E[c])
     h_offsets: list[Optional[Fraction]] = []
     for i in range(preset.n):
         lam = sig.lam(i, i)
@@ -379,7 +381,7 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     pe = preset.e_parity
     e_scale = []
     for c in range(ne):
-        rho = _scalar_ratio(phi_generator(preset.zeta, c, "X"), preset.e_images[c])
+        rho = _scalar_ratio(_phi_generator(preset.zeta, c, "X"), preset.e_images[c])
         if rho is None or rho == 0:
             return CalibrationResult(
                 unit_calibration(ne, n), False,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from .algebra import SuperElement
-from .datum import GammaMatrix, phi_generator, require_valid
+from .algebra import SuperElement, int_tuple
+from .datum import GammaMatrix, _phi_generator, require_valid
 from .errors import ResourceCapError
 
 # A witness is a tuple of (column, sign) pairs, 0-based columns.
@@ -32,24 +32,28 @@ DEFAULT_ORACLE_CAP = 8
 
 
 def _letters(gm: GammaMatrix, g: Sequence[int]):
-    """Distinct signed letters with multiplicities, in column order."""
-    cliff_rows = [r for r in range(gm.n) if gm.sig.is_clifford(r)]
+    """Distinct signed letters with their Clifford-row entries, in column order."""
     letters = []
     for c in range(gm.m):
         if g[c] == 0:
             continue
         sign = 1 if g[c] > 0 else -1
-        entries = tuple(sign * gm.rows[r][c] for r in cliff_rows)
+        entries = tuple(sign * gm.rows[r][c] for r in gm.sig.clifford_indices)
         letters.append((c, sign, entries))
-    return cliff_rows, letters
+    return letters
 
 
 def clifford_image_ok(gm: GammaMatrix, g: Sequence[int]) -> bool:
     """Necessary condition: Clifford rows of gamma(g) stay within {-1,0,1}."""
     image = gm.apply(g)
-    return all(
-        abs(image[r]) <= 1 for r in range(gm.n) if gm.sig.is_clifford(r)
-    )
+    return all(abs(image[r]) <= 1 for r in gm.sig.clifford_indices)
+
+
+def _degree_vector(gm: GammaMatrix, g: Sequence[int]) -> tuple[int, ...]:
+    g = int_tuple(g, "degree vector entries")
+    if len(g) != gm.m:
+        raise ValueError(f"degree vector has length {len(g)}, expected {gm.m}")
+    return g
 
 
 def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
@@ -59,50 +63,49 @@ def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
     is the lexicographically least admissible column sequence.
     """
     require_valid(gm)
-    g = tuple(int(v) for v in g)
-    if len(g) != gm.m:
-        raise ValueError(f"degree vector has length {len(g)}, expected {gm.m}")
+    return _search(gm, _degree_vector(gm, g))
+
+
+def _search(gm: GammaMatrix, g: tuple[int, ...]) -> Optional[Witness]:
+    # an explicit stack holds one level per letter, so deep queries do not
+    # hit the recursion limit; a state that failed once is never re-expanded
     if not any(g):
         return ()
     if not clifford_image_ok(gm, g):
         return None
-    cliff_rows, letters = _letters(gm, g)
+    letters = _letters(gm, g)
     counts = [abs(g[c]) for c, _, _ in letters]
     total = sum(counts)
-    failed: set[tuple] = set()
-    acc: list[tuple[int, int]] = []
-
-    def dfs(last: tuple[int, ...]) -> bool:
-        if len(acc) == total:
-            return True
-        state = (tuple(counts), last)
-        if state in failed:
-            return False
-        for idx, (col, sign, entries) in enumerate(letters):
-            if counts[idx] == 0:
+    failed: set[tuple] = set()  # (remaining counts, last sign per Clifford row)
+    path: list[int] = []  # letter index placed at each depth
+    stack = [((0,) * len(gm.sig.clifford_indices), 0)]  # (last signs, next letter)
+    while stack:
+        if len(path) == total:
+            return tuple(letters[idx][:2] for idx in path)
+        last, start = stack[-1]
+        for idx in range(start, len(letters)):
+            entries = letters[idx][2]
+            if not counts[idx] or any(e and e == last[r] for r, e in enumerate(entries)):
                 continue
-            if any(e and e == last[r] for r, e in enumerate(entries)):
-                continue
-            new_last = tuple(
-                e if e else last[r] for r, e in enumerate(entries)
-            )
             counts[idx] -= 1
-            acc.append((col, sign))
-            if dfs(new_last):
-                return True
-            acc.pop()
+            new_last = tuple(e if e else last[r] for r, e in enumerate(entries))
+            if (tuple(counts), new_last) not in failed:
+                stack[-1] = (last, idx + 1)
+                stack.append((new_last, 0))
+                path.append(idx)
+                break
             counts[idx] += 1
-        failed.add(state)
-        return False
-
-    if dfs((0,) * len(cliff_rows)):
-        return tuple(acc)
+        else:
+            stack.pop()
+            failed.add((tuple(counts), last))
+            if path:
+                counts[path.pop()] += 1
     return None
 
 
 def verify_witness(gm: GammaMatrix, g: Sequence[int], witness: Witness) -> bool:
     """Independent check of a claimed ordering: multiplicities, parts, pattern."""
-    g = tuple(int(v) for v in g)
+    g = _degree_vector(gm, g)
     seen = {}
     for col, sign in witness:
         if sign not in (-1, 1):
@@ -147,7 +150,7 @@ def enumerate_support(
 ) -> list[tuple[tuple[int, ...], Witness]]:
     """All support points in a finite box, with their witnesses, sorted."""
     require_valid(gm)
-    box = [(int(lo), int(hi)) for lo, hi in box]
+    box = [int_tuple(interval, "box bounds") for interval in box]
     if len(box) != gm.m:
         raise ValueError(f"box has {len(box)} intervals, expected {gm.m}")
     if any(lo > hi for lo, hi in box):
@@ -161,7 +164,7 @@ def enumerate_support(
     for g in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
         if even_lattice and sum(g) % 2 != 0:
             continue
-        witness = is_in_support(gm, g)
+        witness = _search(gm, g)
         if witness is not None:
             found.append((g, witness))
     return found
@@ -175,7 +178,7 @@ def oracle_membership(gm: GammaMatrix, g: Sequence[int], cap: int = DEFAULT_ORAC
     multiplication cannot revive them).
     """
     require_valid(gm)
-    g = tuple(int(v) for v in g)
+    g = _degree_vector(gm, g)
     total = sum(abs(v) for v in g)
     if total > cap:
         raise ResourceCapError(f"|g| = {total} exceeds the oracle cap {cap}")
@@ -187,7 +190,7 @@ def oracle_membership(gm: GammaMatrix, g: Sequence[int], cap: int = DEFAULT_ORAC
         if g[c] == 0:
             continue
         kind = "X" if g[c] > 0 else "Y"
-        gens.append(phi_generator(gm, c, kind))
+        gens.append(_phi_generator(gm, c, kind))
         counts.append(abs(g[c]))
 
     def dfs(prefix: SuperElement, remaining: int) -> bool:

@@ -41,6 +41,9 @@ def test_signature_validation():
         Signature("minus", ())
     with pytest.raises(ValueError):
         Signature("minus", (2,))
+    for bad in ("1", True, 1.0):
+        with pytest.raises(ValueError):
+            Signature("minus", (0, bad))
 
 
 def test_lambda_table():

@@ -157,6 +157,16 @@ def test_usage_errors(matrix_file, capsys, tmp_path):
     assert run(["florp"]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"sign": "minus", "parity": [1], "gamma": [[1.9, "-1"]]},
+    {"sign": "minus", "parity": [1], "gamma": [[True]]},
+    {"sign": "minus", "parity": ["1"], "gamma": [[1]]},
+])
+def test_non_integer_matrix_file_is_a_usage_error(matrix_file, capsys, data):
+    assert run(["validate", matrix_file(data)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_output_is_deterministic(matrix_file, capsys):
     path = matrix_file(EX_C)
     run(["--format", "json", "datum", path])

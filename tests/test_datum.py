@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import superweyl.datum
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
@@ -12,14 +13,17 @@ from superweyl import (
     consistency_check,
     derive_datum,
     derive_mu,
-    derive_sigma,
     derive_t,
+    enumerate_support,
     eval_word,
     gamma_from_dict,
     gamma_to_dict,
     gradation_pair,
     identity_gamma,
+    injectivity_report,
     iota_embed,
+    is_in_support,
+    oracle_membership,
     phi_generator,
     project_zero,
     tau_apply,
@@ -48,6 +52,10 @@ def test_matrix_shape_validation():
     gm = GammaMatrix(sig, ((1, 0), (0, 2)))
     assert gm.apply((1, 1)) == (1, 2)
     assert gm.column(1) == (0, 2)
+    # entries must be ints: no float, string or bool is coerced
+    for bad in (1.9, "-1", True, 1.0):
+        with pytest.raises(ValueError):
+            GammaMatrix(sig, ((1, 0), (0, bad)))
 
 
 def test_validate_identity():
@@ -81,12 +89,43 @@ def test_validate_zero_column():
     assert rep.zero_columns == [1]
 
 
-def test_invalid_matrix_refused_by_derivations():
+MATRIX_ENTRY_POINTS = {
+    "derive_t": lambda gm: derive_t(gm, 0),
+    "derive_mu": derive_mu,
+    "derive_datum": derive_datum,
+    "phi_generator": lambda gm: phi_generator(gm, 0),
+    "eval_word": lambda gm: eval_word(gm, [("X", 0), ("Y", 0)]),
+    "is_in_support": lambda gm: is_in_support(gm, (1,)),
+    "enumerate_support": lambda gm: enumerate_support(gm, [(-1, 1)]),
+    "oracle_membership": lambda gm: oracle_membership(gm, (1,)),
+    "injectivity_report": lambda gm: injectivity_report(gm, [(-1, 1)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_invalid_matrix_refused_by_derivations(entry):
     gm = GammaMatrix(Signature("minus", (1,)), ((2,),))
     with pytest.raises(InvalidGammaError):
-        derive_t(gm, 0)
-    with pytest.raises(InvalidGammaError):
-        phi_generator(gm, 0)
+        MATRIX_ENTRY_POINTS[entry](gm)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_support(EX_C, [(-2, 2)] * 3),
+    lambda: derive_datum(EX_C),
+    lambda: eval_word(EX_C, [("Y", 0), ("X", 0), ("X", 1), ("Y", 2), ("X", 2)]),
+    lambda: oracle_membership(EX_C, (1, 2, 1)),
+], ids=["enumerate_support", "derive_datum", "eval_word", "oracle_membership"])
+def test_one_validation_per_call(call, monkeypatch):
+    calls = []
+    original = superweyl.datum.validate_gamma
+
+    def counting(gm):
+        calls.append(gm)
+        return original(gm)
+
+    monkeypatch.setattr(superweyl.datum, "validate_gamma", counting)
+    call()
+    assert len(calls) == 1
 
 
 def test_derive_t_cases():
@@ -115,8 +154,8 @@ def test_derive_t_clifford_negative_entry_matches_relations():
     assert yx.image == iota_embed(t)
 
 
-def test_derive_sigma_is_column():
-    assert derive_sigma(EX_C, 1) == (3, 0, -1)
+def test_datum_sigma_is_column():
+    assert derive_datum(EX_C).sigma[1] == (3, 0, -1)
 
 
 def test_mu_identity_matches_lambda():

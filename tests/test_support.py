@@ -45,6 +45,28 @@ def test_membership_worked_example():
     assert is_in_support(EX_C, (2, 1, 0)) is None
 
 
+def test_deep_band_query_needs_no_recursion():
+    # 1200 letters: deeper than the interpreter's default recursion limit
+    assert is_in_support(EX_A, (600, 600)) == ((0, 1), (1, 1)) * 600
+
+
+def test_degree_vectors_and_boxes_must_be_ints():
+    with pytest.raises(ValueError):
+        is_in_support(EX_A, (1.7, True))
+    with pytest.raises(ValueError):
+        oracle_membership(EX_A, (1, "1"))
+    with pytest.raises(ValueError):
+        enumerate_support(EX_A, [(-1.5, 1.9), (-1, 1)])
+
+
+def test_short_degree_vector_refused():
+    message = "degree vector has length 2, expected 3"
+    with pytest.raises(ValueError, match=message):
+        is_in_support(EX_C, (1, 2))
+    with pytest.raises(ValueError, match=message):
+        verify_witness(EX_C, (1, 2), ((0, 1), (1, 1), (1, 1)))
+
+
 def test_zero_vector_trivial_witness():
     assert is_in_support(EX_C, (0, 0, 0)) == ()
     assert oracle_membership(EX_C, (0, 0, 0))
