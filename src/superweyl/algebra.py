@@ -8,13 +8,28 @@ scalar ``lam(i, j)`` is ``-(-1)^(p(i)p(j))`` for the ``plus`` variant and
 *Clifford direction*: its generators square to zero and its exponents are
 capped at one.
 
-Words are rewritten to ascending per-index blocks ``x_i^a d_i^b`` using
+The defining relations are
 
-    d_i x_i -> 1 + lam(i, i) x_i d_i     (same index)
-    v w     -> lam(i, j) w v             (generators of distinct indices)
-    x_i x_i -> 0,  d_i d_i -> 0          (Clifford directions)
+    d_i x_i = 1 + lam(i, i) x_i d_i      (same index)
+    v w     = lam(i, j) w v              (generators of distinct indices)
+    x_i x_i = 0,  d_i d_i = 0            (Clifford directions)
 
-The resulting normal form is unique, so equality of elements is structural
+and every element is kept in the normal form of ascending per-index blocks
+``x_i^a d_i^b``.  The product of two such monomials has a closed form.
+Moving each block of the right factor left past the higher-index blocks of
+the left factor gives the sign ``prod lam(i, j)^(len_i * len_j)``, found in
+one O(n) pass from running sums over the parities.  What is left at each
+index is ``x^a (d^b x^c) d^e`` with
+
+    d^b x^c = sum_k C(b,k) C(c,k) k! lam(i,i)^((b-k)(c-k)) x^(c-k) d^(b-k)
+
+(on a Clifford index b, c <= 1 and exponents above one vanish), and the
+terms of the product are the outer product of these per-index sums.  The
+cost is polynomial in the exponents: ``d^k x^k`` is one product with k + 1
+terms.  A word is the product of its maximal runs already in normal order,
+and the involution maps a monomial to one monomial times a sign.
+
+The normal form is unique, so equality of elements is structural
 equality of their sparse coefficient maps.  All values are immutable and
 all operations are pure functions.
 """
@@ -23,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -92,72 +107,108 @@ class Signature:
         return tuple(i for i in range(self.n) if self.is_clifford(i))
 
 
-# Letters of a word are encoded as 2*index + kind with kind 0 for x and
-# 1 for d; integer order on codes is exactly the normal order.
-
-
-def _mono_letters(mono: SuperMonomial) -> list[int]:
-    out = []
-    for i, (a, b) in enumerate(mono):
-        out.extend([2 * i] * a)
-        out.extend([2 * i + 1] * b)
-    return out
-
-
-def _word_mono(n: int, word: Sequence[int]) -> SuperMonomial:
-    pairs = [[0, 0] for _ in range(n)]
-    for code in word:
-        pairs[code >> 1][code & 1] += 1
-    return tuple((a, b) for a, b in pairs)
-
-
-def _normalize(sig: Signature, letters: Sequence[int]) -> dict[SuperMonomial, int]:
-    """Normal form of a word, as a map monomial -> integer coefficient."""
-    lam = sig._lam
-    n = sig.n
-    cliff = tuple(sig.is_clifford(i) for i in range(n))
-    out: dict[SuperMonomial, int] = {}
-    stack: list[tuple[int, list[int], int]] = [(1, list(letters), 0)]
-    while stack:
-        coeff, w, t = stack.pop()
-        dead = False
-        while t < len(w) - 1:
-            a, b = w[t], w[t + 1]
-            if a < b:
-                t += 1
-            elif a == b:
-                if cliff[a >> 1]:
-                    dead = True
-                    break
-                t += 1
-            else:
-                ia, ib = a >> 1, b >> 1
-                if ia == ib:
-                    # d_i x_i: contraction branch, then the swap in place
-                    stack.append((coeff, w[:t] + w[t + 2:], max(t - 1, 0)))
-                    coeff *= lam[ia][ia]
-                else:
-                    coeff *= lam[ia][ib]
-                w[t], w[t + 1] = b, a
-                t = max(t - 1, 0)
-        if dead:
-            continue
-        mono = _word_mono(n, w)
-        c = out.get(mono, 0) + coeff
+def accumulate_terms(acc: dict, items: Iterable) -> dict:
+    """Add (key, coefficient) pairs into a coefficient map, dropping every
+    key whose coefficient cancels to zero; returns the map."""
+    get = acc.get
+    for key, c in items:
+        old = get(key)
+        if old is not None:
+            c += old
         if c:
-            out[mono] = c
-        else:
-            out.pop(mono, None)
+            acc[key] = c
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def _cross_sign(sig: Signature, m1: SuperMonomial, m2: SuperMonomial) -> int:
+    """Product of lam(i, j)^(len1_i * len2_j) over i > j, in one pass.
+
+    lam(i, j) = base * (-1)^(p(i)p(j)), so only the parities of two sums
+    matter: len1_i * len2_j over all i > j, and over odd i > j only.  Running
+    sums of the m2 block lengths below i give both.
+    """
+    below = odd_below = base_exp = odd_exp = 0
+    for (a1, b1), (a2, b2), p in zip(m1, m2, sig.parity):
+        l1 = a1 + b1
+        base_exp += l1 * below
+        below += a2 + b2
+        if p:
+            odd_exp += l1 * odd_below
+            odd_below += a2 + b2
+    if sig.sign == "plus":
+        odd_exp += base_exp
+    return -1 if odd_exp & 1 else 1
+
+
+def _contraction(clifford: bool, a1: int, b1: int, a2: int, b2: int) -> list:
+    """x^a1 d^b1 x^a2 d^b2 at one index with b1, a2 > 0, as ((a, b), coeff)."""
+    if clifford:
+        # b1 = a2 = 1 and d x = 1 - x d; x d survives only without a1 and b2
+        return [((a1, b2), 1)] if a1 or b2 else [((0, 0), 1), ((1, 1), -1)]
+    # d^b1 x^a2 = sum_k C(b1,k) C(a2,k) k! x^(a2-k) d^(b1-k)
+    out = []
+    c = 1
+    for k in range(min(b1, a2) + 1):
+        out.append(((a1 + a2 - k, b1 + b2 - k), c))
+        c = c * (b1 - k) * (a2 - k) // (k + 1)
     return out
 
 
-@lru_cache(maxsize=1 << 17)
-def _mono_mul_terms(sig: Signature, m1: SuperMonomial, m2: SuperMonomial):
-    return tuple(_normalize(sig, _mono_letters(m1) + _mono_letters(m2)).items())
+def _mono_product(sig: Signature, m1: SuperMonomial, m2: SuperMonomial) -> list:
+    """Normal form of m1*m2 as a list of (monomial, integer coefficient).
+
+    Both monomials must be valid for sig (Clifford exponents at most one).
+    Indices without a d^b x^c contraction take the summed exponents; the
+    terms are the outer product over the contracted indices.
+    """
+    lam = sig._lam
+    pairs = []
+    contracted = []
+    for i, ((a1, b1), (a2, b2)) in enumerate(zip(m1, m2)):
+        if b1 and a2:
+            contracted.append(i)
+        elif lam[i][i] < 0 and (a1 + a2 > 1 or b1 + b2 > 1):
+            return []
+        pairs.append((a1 + a2, b1 + b2))
+    terms = [(tuple(pairs), _cross_sign(sig, m1, m2))]
+    for i in contracted:
+        options = _contraction(lam[i][i] < 0, *m1[i], *m2[i])
+        terms = [(m[:i] + (pair,) + m[i + 1:], c * s) for m, c in terms for pair, s in options]
+    return terms
+
+
+def _word_terms(sig: Signature, codes: Sequence[int]) -> dict[SuperMonomial, int]:
+    """Normal form of a word of letter codes, as monomial -> integer coefficient.
+
+    A letter is coded 2*index + 0 for x and + 1 for d, so integer order on
+    codes is the normal order: each maximal non-decreasing run of the word is
+    one monomial, and the word is the product of its runs.
+    """
+    n = sig.n
+    runs = []
+    prev = 2 * n
+    for code in codes:
+        if code < prev:
+            pairs = [[0, 0] for _ in range(n)]
+            runs.append(pairs)
+        pairs[code >> 1][code & 1] += 1
+        prev = code
+    if any(max(pairs[i]) > 1 for pairs in runs for i in sig.clifford_indices):
+        return {}
+    monos = [tuple(map(tuple, pairs)) for pairs in runs] or [((0, 0),) * n]
+    acc = {monos[0]: 1}
+    for run in monos[1:]:
+        acc = accumulate_terms({}, (
+            (mono, c * s) for m, c in acc.items() for mono, s in _mono_product(sig, m, run)
+        ))
+    return acc
 
 
 def _check_mono(sig: Signature, mono) -> SuperMonomial:
-    mono = tuple((int(a), int(b)) for a, b in mono)
+    mono = tuple((a, b) for a, b in mono)
+    int_tuple((v for pair in mono for v in pair), "monomial exponents")
     if len(mono) != sig.n:
         raise ValueError(f"monomial has {len(mono)} index slots, signature has {sig.n}")
     for i, (a, b) in enumerate(mono):
@@ -198,18 +249,8 @@ class SuperElement:
 
     def __init__(self, sig: Signature, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[SuperMonomial, Fraction] = {}
-        for mono, coeff in items:
-            c = _as_fraction(coeff)
-            if not c:
-                continue
-            mono = _check_mono(sig, mono)
-            c0 = cleaned.get(mono)
-            c = c if c0 is None else c0 + c
-            if c:
-                cleaned[mono] = c
-            else:
-                del cleaned[mono]
+        exact = ((mono, _as_fraction(c)) for mono, c in items)
+        cleaned = accumulate_terms({}, ((_check_mono(sig, m), c) for m, c in exact if c))
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", cleaned)
 
@@ -261,13 +302,7 @@ class SuperElement:
         if not isinstance(other, SuperElement):
             return NotImplemented
         self._require_same_sig(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+        terms = accumulate_terms(dict(self.terms), other.terms.items())
         return SuperElement._raw(self.sig, terms)
 
     def __neg__(self):
@@ -281,17 +316,13 @@ class SuperElement:
     def __mul__(self, other):
         if isinstance(other, SuperElement):
             self._require_same_sig(other)
+            sig = self.sig
             acc: dict[SuperMonomial, Fraction] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     c12 = c1 * c2
-                    for mono, s in _mono_mul_terms(self.sig, m1, m2):
-                        c = acc.get(mono, 0) + c12 * s
-                        if c:
-                            acc[mono] = c
-                        else:
-                            del acc[mono]
-            return SuperElement._raw(self.sig, acc)
+                    accumulate_terms(acc, ((m, c12 * s) for m, s in _mono_product(sig, m1, m2)))
+            return SuperElement._raw(sig, acc)
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         return NotImplemented
@@ -308,17 +339,17 @@ class SuperElement:
         return SuperElement._raw(self.sig, {m: c * v for m, v in self.terms.items()})
 
     def star(self) -> "SuperElement":
-        """Involution: x_i <-> d_i, words reversed, result renormalized."""
-        acc: dict[SuperMonomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            letters = [code ^ 1 for code in reversed(_mono_letters(mono))]
-            for m2, s in _normalize(self.sig, letters).items():
-                c = acc.get(m2, 0) + coeff * s
-                if c:
-                    acc[m2] = c
-                else:
-                    del acc[m2]
-        return SuperElement._raw(self.sig, acc)
+        """Involution: x_i <-> d_i with words reversed.
+
+        The blocks x_i^a d_i^b of a monomial become x_i^b d_i^a in descending
+        index order; sorting them back moves every block past every lower one,
+        which is the sign of the product of the monomial with itself.
+        """
+        sig = self.sig
+        return SuperElement._raw(sig, {
+            tuple((b, a) for a, b in mono): c if _cross_sign(sig, mono, mono) > 0 else -c
+            for mono, c in self.terms.items()
+        })
 
     def degree(self) -> tuple[int, ...]:
         """Common degree vector of all monomials, if one exists."""
@@ -368,7 +399,7 @@ def mono_mul(sig: Signature, m1, m2) -> SuperElement:
     """Normal form of the concatenation of two normal-ordered monomials."""
     m1 = _check_mono(sig, m1)
     m2 = _check_mono(sig, m2)
-    terms = {m: Fraction(c) for m, c in _mono_mul_terms(sig, m1, m2)}
+    terms = {m: Fraction(c) for m, c in _mono_product(sig, m1, m2)}
     return SuperElement._raw(sig, terms)
 
 
@@ -395,13 +426,14 @@ def degree_of(a: SuperElement) -> tuple[int, ...]:
 def word_element(sig: Signature, letters: Iterable[tuple[str, int]]) -> SuperElement:
     """Normal form of an arbitrary word given as ('x'|'d', index) letters."""
     codes = []
+    n = sig.n
     for kind, i in letters:
         if kind not in ("x", "d"):
             raise ValueError(f"letter kind must be 'x' or 'd', got {kind!r}")
-        if not 0 <= i < sig.n:
-            raise IndexError(f"index {i} out of range for n={sig.n}")
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for n={n}")
         codes.append(2 * i + (0 if kind == "x" else 1))
-    terms = {m: Fraction(c) for m, c in _normalize(sig, codes).items()}
+    terms = {m: Fraction(c) for m, c in _word_terms(sig, codes).items()}
     return SuperElement._raw(sig, terms)
 
 

@@ -11,15 +11,17 @@ act through closed-form powers:
 
 This module also hosts the two bridges with the superalgebra: ``iota_embed``
 (substitute u_i -> d_i x_i and normalize) and ``project_zero`` (rewrite the
-degree-zero part of an element as a reduced polynomial in the u_i).
+degree-zero part of an element as a reduced polynomial in the u_i, through
+the integer coefficients of x_i^k d_i^k = (u_i - 1)...(u_i - k)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
-from .algebra import Signature, SuperElement, _normalize
+from .algebra import Signature, SuperElement, _word_terms, accumulate_terms, int_tuple
 from .errors import SignatureMismatchError
 
 _SCALARS = (int, Fraction)
@@ -32,26 +34,8 @@ class BaseRingElement:
 
     def __init__(self, sig: Signature, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in items:
-            c = Fraction(coeff)
-            if not c:
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != sig.n:
-                raise ValueError(f"term has {len(exps)} exponents, expected {sig.n}")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be non-negative")
-            # idempotency: u_i^k = u_i on Clifford directions
-            exps = tuple(
-                1 if e and sig.is_clifford(i) else e for i, e in enumerate(exps)
-            )
-            c0 = cleaned.get(exps)
-            c = c if c0 is None else c0 + c
-            if c:
-                cleaned[exps] = c
-            else:
-                del cleaned[exps]
+        exact = ((exps, Fraction(c)) for exps, c in items)
+        cleaned = accumulate_terms({}, ((_check_exps(sig, e), c) for e, c in exact if c))
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", cleaned)
 
@@ -104,13 +88,7 @@ class BaseRingElement:
         if not isinstance(other, BaseRingElement):
             return NotImplemented
         self._require_same_sig(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
+        terms = accumulate_terms(dict(self.terms), other.terms.items())
         return BaseRingElement._raw(self.sig, terms)
 
     def __neg__(self):
@@ -126,17 +104,13 @@ class BaseRingElement:
             self._require_same_sig(other)
             sig = self.sig
             acc: dict[tuple[int, ...], Fraction] = {}
+            capped = [sig.is_clifford(i) for i in range(sig.n)]
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(
-                        1 if (a + b) and sig.is_clifford(i) else a + b
-                        for i, (a, b) in enumerate(zip(e1, e2))
-                    )
-                    c = acc.get(exps, 0) + c1 * c2
-                    if c:
-                        acc[exps] = c
-                    else:
-                        del acc[exps]
+                accumulate_terms(acc, (
+                    (tuple(1 if cap and a + b else a + b for a, b, cap in zip(e1, e2, capped)),
+                     c1 * c2)
+                    for e2, c2 in other.terms.items()
+                ))
             return BaseRingElement._raw(sig, acc)
         if isinstance(other, _SCALARS):
             return self._scaled(other)
@@ -191,6 +165,16 @@ class BaseRingElement:
     __hash__ = None
 
 
+def _check_exps(sig: Signature, exps) -> tuple[int, ...]:
+    exps = int_tuple(exps, "exponents")
+    if len(exps) != sig.n:
+        raise ValueError(f"term has {len(exps)} exponents, expected {sig.n}")
+    if any(e < 0 for e in exps):
+        raise ValueError("exponents must be non-negative")
+    # idempotency: u_i^k = u_i on Clifford directions
+    return tuple(1 if e and sig.is_clifford(i) else e for i, e in enumerate(exps))
+
+
 def reduce(sig: Signature, terms) -> BaseRingElement:
     """Reduced form of a raw exponent-map polynomial."""
     return BaseRingElement(sig, terms)
@@ -215,7 +199,7 @@ def tau_single(sig: Signature, i: int, k: int) -> BaseRingElement:
 def tau_apply(exponents: Sequence[int], r: BaseRingElement) -> BaseRingElement:
     """Apply the automorphism tau_1^e1 ... tau_n^en to a ring element."""
     sig = r.sig
-    e = tuple(int(v) for v in exponents)
+    e = int_tuple(exponents, "exponent vector entries")
     if len(e) != sig.n:
         raise ValueError(f"exponent vector has length {len(e)}, expected {sig.n}")
     images = [tau_single(sig, i, e[i]) if e[i] else None for i in range(sig.n)]
@@ -233,49 +217,65 @@ def tau_apply(exponents: Sequence[int], r: BaseRingElement) -> BaseRingElement:
 def iota_embed(r: BaseRingElement) -> SuperElement:
     """Substitute u_i -> d_i x_i and normalize in the superalgebra."""
     sig = r.sig
-    acc = {}
-    for exps, coeff in r.terms.items():
-        letters = []
-        for i, d in enumerate(exps):
-            letters.extend([2 * i + 1, 2 * i] * d)
-        for mono, s in _normalize(sig, letters).items():
-            c = acc.get(mono, 0) + coeff * s
-            if c:
-                acc[mono] = c
-            else:
-                del acc[mono]
-    return SuperElement._raw(sig, acc)
+    words = (
+        (coeff, [code for i, e in enumerate(exps) for code in (2 * i + 1, 2 * i) * e])
+        for exps, coeff in r.terms.items()
+    )
+    return SuperElement._raw(sig, _scaled_sum((c, _word_terms(sig, w).items()) for c, w in words))
 
 
 def project_zero(a: SuperElement) -> BaseRingElement:
     """Degree-zero component of a superalgebra element, written in the u_i.
 
-    Each block x_i^k d_i^k becomes ``xd_polynomial``; per-index degree-zero
-    blocks commute, so the factors multiply freely.
+    Each block x_i^k d_i^k becomes the polynomial of ``xd_polynomial``;
+    per-index degree-zero blocks commute, so a monomial expands to the outer
+    product of those integer coefficient lists.
     """
     sig = a.sig
-    out = BaseRingElement.zero(sig)
+    parts = []
     for mono, coeff in a.terms.items():
         if any(x != d for x, d in mono):
             continue
-        term = BaseRingElement.const(sig, coeff)
+        terms = [((), 1)]
         for i, (k, _) in enumerate(mono):
-            if k:
-                term = term * xd_polynomial(sig, i, k)
-        out = out + term
-    return out
+            coeffs = _xd_coeffs(sig.is_clifford(i), k)
+            terms = [(e + (j,), c * s) for e, c in terms for j, s in enumerate(coeffs)]
+        parts.append((coeff, terms))
+    return BaseRingElement._raw(sig, _scaled_sum(parts))
+
+
+def _scaled_sum(parts) -> dict:
+    """Sum of coeff * expansion over (coeff, expansion) pairs, each expansion
+    an iterable of (key, integer); the sums run in integers over the common
+    denominator, so each surviving key costs one Fraction."""
+    parts = list(parts)
+    den = lcm(*(coeff.denominator for coeff, _ in parts))
+    acc = {}
+    for coeff, expansion in parts:
+        scale = coeff.numerator * (den // coeff.denominator)
+        accumulate_terms(acc, ((key, scale * s) for key, s in expansion))
+    return {key: Fraction(v, den) for key, v in acc.items()}
+
+
+def _xd_coeffs(clifford: bool, k: int) -> list[int]:
+    """Coefficients of x^k d^k in u = d x, lowest power first."""
+    if clifford:
+        return [1, -1] if k else [1]
+    coeffs = [1]
+    for s in range(1, k + 1):
+        # multiply by (u - s)
+        coeffs = [lo - s * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 def xd_polynomial(sig: Signature, i: int, k: int) -> BaseRingElement:
     """x_i^k d_i^k written in u_i: (u_i - 1)(u_i - 2)...(u_i - k), or 1 - u_i
     on a Clifford direction, where k > 1 vanishes and only k = 1 arises."""
-    u = BaseRingElement.u(sig, i)
-    if sig.is_clifford(i):
-        return BaseRingElement.one(sig) - u
-    out = BaseRingElement.one(sig)
-    for s in range(1, k + 1):
-        out = out * (u - BaseRingElement.const(sig, s))
-    return out
+    return BaseRingElement._raw(sig, {
+        tuple(e if j == i else 0 for j in range(sig.n)): Fraction(c)
+        for e, c in enumerate(_xd_coeffs(sig.is_clifford(i), k))
+        if c
+    })
 
 
 def _ring_mono_str(exps: tuple[int, ...]) -> str:

@@ -1,7 +1,7 @@
 """Shared test utilities.
 
 The action oracle here is deliberately independent of the package's
-rewriting engine: basis vectors of a polynomial-times-exterior space are
+product engine (it imports nothing from its internals): basis vectors of a polynomial-times-exterior space are
 acted on letter by letter, with Koszul signs tracked directly.  Clifford
 directions contribute exterior factors (kept sorted, insertion and deletion
 signs counted), the remaining directions contribute polynomial factors, and
@@ -12,9 +12,17 @@ mixed swap sign of the variant (+1 for minus, -1 for plus).
 from fractions import Fraction
 
 from superweyl import GammaMatrix, Signature, SuperElement, validate_gamma
-from superweyl.algebra import _mono_letters
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
+# A letter is coded 2*index + kind, with kind 0 for x and 1 for d.
+
+
+def _mono_letters(mono):
+    out = []
+    for i, (a, b) in enumerate(mono):
+        out.extend([2 * i] * a)
+        out.extend([2 * i + 1] * b)
+    return out
 
 
 def basis_vec(exts=(), poly=None, n=1):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -266,3 +267,64 @@ def test_engine_matches_action_oracle():
             via_product = act(sig, a * b, vec)
             via_composition = act(sig, a, act(sig, b, vec))
             assert via_product == via_composition
+
+
+def _random_monomial(sig, rng, max_exp):
+    return tuple(
+        (rng.randint(0, 1), rng.randint(0, 1)) if sig.is_clifford(i)
+        else (rng.randint(0, max_exp), rng.randint(0, max_exp))
+        for i in range(sig.n)
+    )
+
+
+ALL_SIGNATURES_N3 = [
+    Signature(sign, tuple((bits >> i) & 1 for i in range(n)))
+    for sign in ("minus", "plus")
+    for n in (1, 2, 3)
+    for bits in range(1 << n)
+]
+
+
+@pytest.mark.parametrize("sig", ALL_SIGNATURES_N3, ids=str)
+def test_product_matches_action_oracle_large_exponents(sig):
+    # Weyl exponents up to 12 on a basis vector with room for d^24
+    rng = random.Random(repr(sig))
+    for _ in range(3):
+        a = SuperElement.from_mono(sig, _random_monomial(sig, rng, 12))
+        b = SuperElement.from_mono(sig, _random_monomial(sig, rng, 12))
+        vec = sample_basis(sig, rng, max_poly=24)
+        assert act(sig, a * b, vec) == act(sig, a, act(sig, b, vec))
+
+
+@pytest.mark.parametrize("sig", [Signature("minus", (1, 0)), Signature("plus", (0, 1))], ids=str)
+def test_word_element_weyl_identity_k30(sig):
+    # d^30 x^30 = sum_j C(30,j)^2 j! x^(30-j) d^(30-j) on the Weyl index 1
+    k = 30
+    got = word_element(sig, [("d", 1)] * k + [("x", 1)] * k)
+    expected = {
+        ((0, 0), (k - j, k - j)): Fraction(comb(k, j) ** 2 * factorial(j))
+        for j in range(k + 1)
+    }
+    assert got.terms == expected
+
+
+def test_star_closed_form_random_monomials():
+    rng = random.Random(8080)
+    for sig in ALL_SIGNATURES_N3:
+        for _ in range(10):
+            mono = _random_monomial(sig, rng, 12)
+            sign = 1
+            for i in range(sig.n):
+                for j in range(i + 1, sig.n):
+                    sign *= sig.lam(i, j) ** (sum(mono[i]) * sum(mono[j]))
+            star = involution(SuperElement.from_mono(sig, mono, 3))
+            assert star.terms == {tuple((b, a) for a, b in mono): Fraction(3 * sign)}
+            other = SuperElement.from_mono(sig, _random_monomial(sig, rng, 6))
+            a = SuperElement.from_mono(sig, mono)
+            assert involution(a * other) == involution(other) * involution(a)
+
+
+@pytest.mark.parametrize("mono", [((1.5, True),), ((True, 0),), (("1", 0),), ((1.0, 0),)])
+def test_from_mono_rejects_non_int_exponents(mono):
+    with pytest.raises(ValueError):
+        SuperElement.from_mono(Signature("minus", (0,)), mono)

@@ -152,3 +152,24 @@ def test_rendering():
     assert str(el) == "-1 + (3/2)*u1^2*u3"
     assert str(BaseRingElement.zero(sig)) == "0"
     assert str(u(sig, 1) - const(sig, 2)) == "-2 + u2"
+
+
+@pytest.mark.parametrize("sig", [Signature("minus", (0, 1)), Signature("plus", (1, 0))], ids=str)
+def test_project_zero_iota_round_trip_powers(sig):
+    for i in range(sig.n):
+        for k in range(13):
+            r = u(sig, i) ** k
+            assert project_zero(iota_embed(r)) == r
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+def test_tau_apply_rejects_non_int_exponents(bad):
+    sig = Signature("minus", (0,))
+    with pytest.raises(ValueError):
+        tau_apply((bad,), u(sig, 0))
+
+
+@pytest.mark.parametrize("exps", [(2.7,), (True,), ("2",)])
+def test_ring_element_rejects_non_int_exponents(exps):
+    with pytest.raises(ValueError):
+        BaseRingElement(Signature("minus", (0,)), {exps: 1})
