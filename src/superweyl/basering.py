@@ -21,7 +21,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .algebra import Signature, SuperElement, _word_terms, accumulate_terms, int_tuple
+from .algebra import (
+    Signature, SuperElement, _as_fraction, _word_terms, accumulate_terms, int_tuple,
+)
 from .errors import SignatureMismatchError
 
 _SCALARS = (int, Fraction)
@@ -34,7 +36,7 @@ class BaseRingElement:
 
     def __init__(self, sig: Signature, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        exact = ((exps, Fraction(c)) for exps, c in items)
+        exact = ((exps, _as_fraction(c)) for exps, c in items)
         cleaned = accumulate_terms({}, ((_check_exps(sig, e), c) for e, c in exact if c))
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", cleaned)
@@ -59,7 +61,7 @@ class BaseRingElement:
 
     @classmethod
     def const(cls, sig: Signature, c) -> "BaseRingElement":
-        c = Fraction(c)
+        c = _as_fraction(c)
         if not c:
             return cls.zero(sig)
         return cls._raw(sig, {(0,) * sig.n: c})
@@ -188,6 +190,7 @@ def equals(a: BaseRingElement, b: BaseRingElement) -> bool:
 
 def tau_single(sig: Signature, i: int, k: int) -> BaseRingElement:
     """Image of u_i under the k-th power of tau_i, in closed form."""
+    _as_fraction(k)  # refuses a float or string shift on either kind of index
     u = BaseRingElement.u(sig, i)
     if k == 0:
         return u
@@ -203,15 +206,18 @@ def tau_apply(exponents: Sequence[int], r: BaseRingElement) -> BaseRingElement:
     if len(e) != sig.n:
         raise ValueError(f"exponent vector has length {len(e)}, expected {sig.n}")
     images = [tau_single(sig, i, e[i]) if e[i] else None for i in range(sig.n)]
-    out = BaseRingElement.zero(sig)
+    powers: dict[tuple[int, int], BaseRingElement] = {}  # (i, d) -> images[i] ** d
+    out: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in r.terms.items():
         untouched = tuple(0 if images[i] and d else d for i, d in enumerate(exps))
         term = BaseRingElement._raw(sig, {untouched: coeff})
         for i, d in enumerate(exps):
             if d and images[i]:
-                term = term * images[i] ** d
-        out = out + term
-    return out
+                if (i, d) not in powers:
+                    powers[i, d] = images[i] ** d
+                term = term * powers[i, d]
+        accumulate_terms(out, term.terms.items())
+    return BaseRingElement._raw(sig, out)
 
 
 def iota_embed(r: BaseRingElement) -> SuperElement:

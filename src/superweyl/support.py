@@ -8,6 +8,23 @@ keeps only the remaining multiplicities and the last nonzero sign per
 Clifford row, visiting columns in ascending order, so the first witness
 found is deterministic.
 
+``enumerate_support`` does three things a point-by-point scan would not:
+
+- It walks only contained points, those whose image has every Clifford row
+  in {-1, 0, 1} (a necessary condition).  Columns are fixed left to right
+  with values in ascending order, and a branch is cut as soon as some
+  Clifford row can no longer end in [-1, 1], so the walk costs about one
+  step per contained point instead of one per box point (the clifford5
+  -3:3 box: 229 of 16,807 points) and yields them in ``itertools.product``
+  order.
+- It shares the failed-state memo between all points with the same letters
+  (the same nonzero columns with the same signs): whether a state of
+  remaining counts and last signs can be completed does not depend on the
+  point.  A search that reaches a state another point already exhausted
+  backs off at once.
+- A point none of whose letters touches a Clifford row needs no search:
+  no state can fail, and the witness is its letters in column order.
+
 ``oracle_membership`` decides the same question by exhaustively multiplying
 generator images over all arrangements; it shares no logic with the pattern
 search and exists to validate it.
@@ -15,7 +32,6 @@ search and exists to validate it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
@@ -32,14 +48,22 @@ DEFAULT_ORACLE_CAP = 8
 
 
 def _letters(gm: GammaMatrix, g: Sequence[int]):
-    """Distinct signed letters with their Clifford-row entries, in column order."""
+    """Distinct signed letters in column order, each as (column, sign, plus,
+    minus): bit k of ``plus`` (``minus``) is set when the letter's entry on
+    the k-th Clifford row is 1 (-1)."""
     letters = []
     for c in range(gm.m):
         if g[c] == 0:
             continue
         sign = 1 if g[c] > 0 else -1
-        entries = tuple(sign * gm.rows[r][c] for r in gm.sig.clifford_indices)
-        letters.append((c, sign, entries))
+        plus = minus = 0
+        for k, r in enumerate(gm.sig.clifford_indices):
+            e = sign * gm.rows[r][c]
+            if e > 0:
+                plus |= 1 << k
+            elif e < 0:
+                minus |= 1 << k
+        letters.append((c, sign, plus, minus))
     return letters
 
 
@@ -63,41 +87,56 @@ def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
     is the lexicographically least admissible column sequence.
     """
     require_valid(gm)
-    return _search(gm, _degree_vector(gm, g))
-
-
-def _search(gm: GammaMatrix, g: tuple[int, ...]) -> Optional[Witness]:
-    # an explicit stack holds one level per letter, so deep queries do not
-    # hit the recursion limit; a state that failed once is never re-expanded
-    if not any(g):
-        return ()
+    g = _degree_vector(gm, g)
     if not clifford_image_ok(gm, g):
         return None
     letters = _letters(gm, g)
-    counts = [abs(g[c]) for c, _, _ in letters]
+    return _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], set())
+
+
+def _arrange(letters, counts: list[int], failed: set) -> Optional[Witness]:
+    """Least admissible ordering of ``counts[i]`` copies of each letter.
+
+    A state is the remaining counts and the last nonzero sign per Clifford
+    row, kept as two bit masks (rows whose last sign is 1, rows whose last
+    sign is -1).  ``failed`` holds states known to have no admissible
+    completion.  Such a state depends only on the letters, not on the point,
+    so callers may share one set between points with the same letters; the
+    search adds the states it exhausts.
+    """
+    if not any(plus or minus for _, _, plus, minus in letters):
+        # no letter touches a Clifford row, so no state can fail and the
+        # search would always take the least column that still has letters
+        witness = []
+        for (c, s, _, _), k in zip(letters, counts):
+            witness += [(c, s)] * k
+        return tuple(witness)
+    # an explicit stack holds one level per letter, so deep queries do not
+    # hit the recursion limit; a state that failed once is never re-expanded
     total = sum(counts)
-    failed: set[tuple] = set()  # (remaining counts, last sign per Clifford row)
     path: list[int] = []  # letter index placed at each depth
-    stack = [((0,) * len(gm.sig.clifford_indices), 0)]  # (last signs, next letter)
+    stack = [(0, 0, 0)]  # (rows last 1, rows last -1, next letter to try)
     while stack:
         if len(path) == total:
             return tuple(letters[idx][:2] for idx in path)
-        last, start = stack[-1]
+        last_plus, last_minus, start = stack[-1]
         for idx in range(start, len(letters)):
-            entries = letters[idx][2]
-            if not counts[idx] or any(e and e == last[r] for r, e in enumerate(entries)):
+            _, _, plus, minus = letters[idx]
+            # a letter may not repeat the last nonzero sign of any row it touches
+            if not counts[idx] or plus & last_plus or minus & last_minus:
                 continue
             counts[idx] -= 1
-            new_last = tuple(e if e else last[r] for r, e in enumerate(entries))
-            if (tuple(counts), new_last) not in failed:
-                stack[-1] = (last, idx + 1)
-                stack.append((new_last, 0))
+            keep = ~(plus | minus)
+            new_plus, new_minus = last_plus & keep | plus, last_minus & keep | minus
+            if (tuple(counts), new_plus, new_minus) not in failed:
+                stack[-1] = (last_plus, last_minus, idx + 1)
+                stack.append((new_plus, new_minus, 0))
                 path.append(idx)
                 break
             counts[idx] += 1
         else:
             stack.pop()
-            failed.add((tuple(counts), last))
+            failed.add((tuple(counts), last_plus, last_minus))
             if path:
                 counts[path.pop()] += 1
     return None
@@ -148,7 +187,11 @@ def enumerate_support(
     even_lattice: bool = False,
     cap: int = DEFAULT_BOX_CAP,
 ) -> list[tuple[tuple[int, ...], Witness]]:
-    """All support points in a finite box, with their witnesses, sorted."""
+    """All support points in a finite box, with their witnesses, sorted.
+
+    The witnesses are those of ``is_in_support``; the box size is checked
+    against ``cap`` before any point is visited.
+    """
     require_valid(gm)
     box = [int_tuple(interval, "box bounds") for interval in box]
     if len(box) != gm.m:
@@ -161,13 +204,75 @@ def enumerate_support(
     if count > cap:
         raise ResourceCapError(f"box holds {count} candidate points, cap is {cap}")
     found = []
-    for g in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+    shared: dict[tuple[int, ...], tuple[list, set]] = {}  # sign pattern -> letters, memo
+    for g in _contained_points(gm, box):
         if even_lattice and sum(g) % 2 != 0:
             continue
-        witness = _search(gm, g)
+        pattern = tuple((v > 0) - (v < 0) for v in g)
+        if pattern not in shared:
+            shared[pattern] = (_letters(gm, g), set())
+        letters, failed = shared[pattern]
+        witness = _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], failed)
         if witness is not None:
             found.append((g, witness))
     return found
+
+
+def _contained_points(gm: GammaMatrix, box: list[tuple[int, int]]):
+    """Box points whose image has every Clifford row in [-1, 1], in the
+    order of ``itertools.product``.
+
+    Columns are fixed left to right.  With the partial image of each
+    Clifford row and the least and greatest sum the remaining columns can
+    add to it, each column gets the interval of values that still let every
+    row end in [-1, 1]; a branch whose interval is empty is cut.  On the
+    last column the bounds are exact, so every point yielded is contained.
+    """
+    m = gm.m
+    cliff = [gm.rows[r] for r in gm.sig.clifford_indices]
+    # rest_lo[c][k], rest_hi[c][k]: range of row k's sum over columns c..m-1
+    rest_lo = [[0] * len(cliff) for _ in range(m + 1)]
+    rest_hi = [[0] * len(cliff) for _ in range(m + 1)]
+    for c in reversed(range(m)):
+        lo, hi = box[c]
+        for k, row in enumerate(cliff):
+            a, b = sorted((row[c] * lo, row[c] * hi))
+            rest_lo[c][k] = rest_lo[c + 1][k] + a
+            rest_hi[c][k] = rest_hi[c + 1][k] + b
+    if any(rest_lo[0][k] > 1 or rest_hi[0][k] < -1 for k in range(len(cliff))):
+        return
+    touched = [[k for k, row in enumerate(cliff) if row[c]] for c in range(m)]
+
+    def values(c: int, partial: list[int]) -> range:
+        lo, hi = box[c]
+        for k in touched[c]:
+            # Clifford entries of a valid matrix are -1 or 1
+            low = -1 - partial[k] - rest_hi[c + 1][k]
+            high = 1 - partial[k] - rest_lo[c + 1][k]
+            if cliff[k][c] < 0:
+                low, high = -high, -low
+            lo, hi = max(lo, low), min(hi, high)
+        return range(lo, hi + 1)
+
+    g = [0] * m
+    partials = [[0] * len(cliff) for _ in range(m)]  # image rows before column c
+    pending = [iter(values(0, partials[0]))]
+    while pending:
+        c = len(pending) - 1
+        if c == m - 1:
+            for v in pending.pop():
+                g[c] = v
+                yield tuple(g)
+            continue
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            continue
+        g[c] = v
+        partial = partials[c + 1]
+        for k, row in enumerate(cliff):
+            partial[k] = partials[c][k] + row[c] * v
+        pending.append(iter(values(c + 1, partial)))
 
 
 def oracle_membership(gm: GammaMatrix, g: Sequence[int], cap: int = DEFAULT_ORACLE_CAP) -> bool:

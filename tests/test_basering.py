@@ -173,3 +173,39 @@ def test_tau_apply_rejects_non_int_exponents(bad):
 def test_ring_element_rejects_non_int_exponents(exps):
     with pytest.raises(ValueError):
         BaseRingElement(Signature("minus", (0,)), {exps: 1})
+
+
+@pytest.mark.parametrize("call", [
+    lambda sig: BaseRingElement(sig, {(1,): 0.5}),
+    lambda sig: BaseRingElement(sig, {(1,): "3/2"}),
+    lambda sig: BaseRingElement.const(sig, 2.5),
+    lambda sig: tau_single(sig, 0, 1.5),
+], ids=["float coefficient", "string coefficient", "float constant", "float shift"])
+def test_ring_element_rejects_inexact_scalars(call):
+    with pytest.raises(TypeError, match="exact rationals"):
+        call(Signature("minus", (0,)))
+
+
+def test_ring_element_keeps_exact_scalars():
+    sig = Signature("minus", (0,))
+    assert str(BaseRingElement(sig, {(1,): Fraction(1, 2)})) == "(1/2)*u1"
+    assert str(BaseRingElement.const(sig, Fraction(5, 2))) == "5/2"
+    assert str(tau_single(sig, 0, 2)) == "-2 + u1"
+
+
+def test_tau_apply_many_terms_matches_termwise():
+    # one tau_apply over a sum equals the sum of tau_apply over its terms
+    sig = Signature("plus", (0, 1, 0))
+    rng = random.Random(11)
+    for _ in range(20):
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(sig.n)):
+                Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(6)
+        }
+        r = BaseRingElement(sig, terms)
+        shift = tuple(rng.randint(-3, 3) for _ in range(sig.n))
+        termwise = BaseRingElement.zero(sig)
+        for exps, c in r.terms.items():
+            termwise = termwise + tau_apply(shift, BaseRingElement(sig, {exps: c}))
+        assert tau_apply(shift, r) == termwise

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,21 @@ def test_output_is_deterministic(matrix_file, capsys):
     first = capsys.readouterr().out
     run(["--format", "json", "datum", path])
     assert capsys.readouterr().out == first
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize("argv, lines, digest", [
+    (["support", "enum", "three_column.json", "--box", "-6:6,-6:6,-6:6"], 59,
+     "9ec0c184cf0e7a6349684136f6a5b6ff4875033b740732db4d7bb1bdec106f55"),
+    (["injectivity", "nine_point.json", "--box", "-20:20,-20:20"], 7,
+     "63bd81f8ad550decc3f3e8b32dd4dc2a7a0e6768298981a3609f0d554bd0800d"),
+], ids=["support enum three_column", "injectivity nine_point"])
+def test_sample_box_commands_golden(argv, lines, digest, capsys):
+    # stdout recorded from the full-box scan that preceded the pruned walk
+    argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

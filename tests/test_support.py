@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+import superweyl.support
 from superweyl import (
     GammaMatrix,
     InvalidGammaError,
@@ -123,6 +125,75 @@ def test_resource_caps():
         enumerate_support(EX_A, [(-100, 100), (-100, 100)], cap=1000)
     with pytest.raises(ResourceCapError):
         oracle_membership(EX_A, (20, 20))
+
+
+def reference_scan(gm, box, even_lattice=False):
+    """Every box point in product order, decided one at a time."""
+    found = []
+    for g in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        if even_lattice and sum(g) % 2:
+            continue
+        witness = is_in_support(gm, g)
+        if witness is not None:
+            found.append((g, witness))
+    return found
+
+
+def random_box(rng, m, shape):
+    if shape == "symmetric":
+        return [(-r, r) for r in (rng.randint(0, 3) for _ in range(m))]
+    if shape == "positive":
+        return [(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(1, 2) for _ in range(m))]
+    return [(lo, rng.randint(lo, 3)) for lo in (rng.randint(-3, 2) for _ in range(m))]
+
+
+@pytest.mark.parametrize("even_lattice", [False, True], ids=["all", "even"])
+@pytest.mark.parametrize("shape", ["symmetric", "asymmetric", "positive"])
+def test_enumeration_matches_reference_scan(shape, even_lattice):
+    rng = random.Random(f"{shape}-{even_lattice}")
+    for _ in range(25):
+        gm = random_valid_gamma(rng, max_n=4)
+        box = random_box(rng, gm.m, shape)
+        assert enumerate_support(gm, box, even_lattice) == reference_scan(gm, box, even_lattice)
+
+
+def test_enumeration_matches_reference_on_samples():
+    for gm, box in ((EX_A, [(-4, 3), (-2, 5)]), (EX_B, [(-4, 4), (-1, 3)]),
+                    (EX_C, [(-2, 3), (-3, 2), (-2, 2)])):
+        for even_lattice in (False, True):
+            assert enumerate_support(gm, box, even_lattice) == reference_scan(gm, box, even_lattice)
+
+
+def test_letters_off_the_clifford_rows_come_in_column_order():
+    # row 1 is Clifford, row 2 Weyl; columns 2 and 3 have no Clifford entry
+    gm = GammaMatrix(Signature("minus", (1, 0)), ((1, 0, 0), (0, 1, -1)))
+    expected = ((1, 1), (1, 1), (2, -1), (2, -1), (2, -1))
+    assert is_in_support(gm, (0, 2, -3)) == expected
+    found = dict(enumerate_support(gm, [(0, 0), (0, 2), (-3, 0)]))
+    assert found[(0, 2, -3)] == expected
+    weyl = GammaMatrix(Signature("minus", (0, 0)), ((1, 0), (-1, 2)))
+    found = dict(enumerate_support(weyl, [(-2, 2), (-2, 2)]))
+    assert found[(-2, 1)] == ((0, -1), (0, -1), (1, 1))
+
+
+def test_box_cap_checked_before_any_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point was scanned")
+
+    monkeypatch.setattr(superweyl.support, "_contained_points", refuse)
+    monkeypatch.setattr(superweyl.support, "_arrange", refuse)
+    with pytest.raises(ResourceCapError, match="box holds 40401 candidate points"):
+        enumerate_support(EX_A, [(-100, 100), (-100, 100)], cap=1000)
+
+
+def test_no_memo_carries_over_between_enumerations():
+    # same shape and letter sets, different Clifford rows: a failed state
+    # remembered from one matrix would be wrong for the other
+    other = GammaMatrix(Signature("minus", (1, 0)), ((1, 0), (1, -1)))
+    box = [(-3, 3), (-3, 3)]
+    fresh = {gm: reference_scan(gm, box) for gm in (EX_B, other)}
+    for gm in (EX_B, other, EX_B, other):
+        assert enumerate_support(gm, box) == fresh[gm]
 
 
 def test_rank_kernel_examples():
