@@ -145,7 +145,7 @@ class BaseRingElement:
         for exps, c in self.terms.items():
             term = c
             for v, e in zip(values, exps):
-                term *= Fraction(v) ** e
+                term *= _as_fraction(v) ** e
             total += term
         return total
 
@@ -191,6 +191,7 @@ def equals(a: BaseRingElement, b: BaseRingElement) -> bool:
 def tau_single(sig: Signature, i: int, k: int) -> BaseRingElement:
     """Image of u_i under the k-th power of tau_i, in closed form."""
     _as_fraction(k)  # refuses a float or string shift on either kind of index
+    int_tuple((k,), "shifts")  # and a Fraction one, as tau_apply does
     u = BaseRingElement.u(sig, i)
     if k == 0:
         return u
@@ -242,12 +243,18 @@ def project_zero(a: SuperElement) -> BaseRingElement:
     for mono, coeff in a.terms.items():
         if any(x != d for x, d in mono):
             continue
-        terms = [((), 1)]
-        for i, (k, _) in enumerate(mono):
-            coeffs = _xd_coeffs(sig.is_clifford(i), k)
-            terms = [(e + (j,), c * s) for e, c in terms for j, s in enumerate(coeffs)]
-        parts.append((coeff, terms))
+        factors = (_xd_coeffs(sig.is_clifford(i), k) for i, (k, _) in enumerate(mono))
+        parts.append((coeff, _outer_product(factors)))
     return BaseRingElement._raw(sig, _scaled_sum(parts))
+
+
+def _outer_product(factors) -> list[tuple[tuple[int, ...], int]]:
+    """Nonzero terms (exponent tuple, integer coefficient) of a product of
+    univariate factors, one integer coefficient list per variable in order."""
+    terms = [((), 1)]
+    for coeffs in factors:
+        terms = [(e + (j,), c * s) for e, c in terms for j, s in enumerate(coeffs) if s]
+    return terms
 
 
 def _scaled_sum(parts) -> dict:
@@ -272,16 +279,6 @@ def _xd_coeffs(clifford: bool, k: int) -> list[int]:
         # multiply by (u - s)
         coeffs = [lo - s * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
     return coeffs
-
-
-def xd_polynomial(sig: Signature, i: int, k: int) -> BaseRingElement:
-    """x_i^k d_i^k written in u_i: (u_i - 1)(u_i - 2)...(u_i - k), or 1 - u_i
-    on a Clifford direction, where k > 1 vanishes and only k = 1 arises."""
-    return BaseRingElement._raw(sig, {
-        tuple(e if j == i else 0 for j in range(sig.n)): Fraction(c)
-        for e, c in enumerate(_xd_coeffs(sig.is_clifford(i), k))
-        if c
-    })
 
 
 def _ring_mono_str(exps: tuple[int, ...]) -> str:

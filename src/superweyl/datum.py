@@ -17,10 +17,11 @@ their images together with the formal degree vector g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, int_tuple
-from .basering import BaseRingElement, project_zero, tau_apply, xd_polynomial
+from .basering import BaseRingElement, _outer_product, _xd_coeffs, project_zero
 from .errors import InvalidGammaError, SignatureMismatchError
 
 
@@ -171,7 +172,9 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     """Central element t_i = product over rows of the paired-word factor.
 
     Row r with entry k contributes d_r^k x_r^k = u_r (u_r + 1) ... (u_r + k - 1)
-    for k > 0 and x_r^|k| d_r^|k| (``xd_polynomial``) for k < 0.
+    for k > 0 and x_r^|k| d_r^|k| = (u_r - 1) ... (u_r - |k|) for k < 0
+    (1 - u_r on a Clifford row); the factors live in distinct variables, so
+    t_i is their outer product.
     """
     require_valid(gm)
     return _derive_t(gm, col)
@@ -179,15 +182,20 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
 
 def _derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     sig = gm.sig
-    t = BaseRingElement.one(sig)
-    for r, k in enumerate(gm.column(col)):
-        if k < 0:
-            t = t * xd_polynomial(sig, r, -k)
-        elif k > 0:
-            u = BaseRingElement.u(sig, r)
-            for s in range(k):
-                t = t * (u + BaseRingElement.const(sig, s))
-    return t
+    factors = (_row_factor(sig.is_clifford(r), k) for r, k in enumerate(gm.column(col)))
+    return BaseRingElement._raw(sig, {e: Fraction(c) for e, c in _outer_product(factors)})
+
+
+def _row_factor(clifford: bool, k: int) -> list[int]:
+    """Integer coefficients, lowest power first, of the factor that entry k
+    puts on its row of t_i; [1] for k = 0."""
+    if k < 0:
+        return _xd_coeffs(clifford, -k)
+    coeffs = [1]
+    for s in range(k):
+        # multiply by (u + s)
+        coeffs = [s * lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 def derive_mu(gm: GammaMatrix):
@@ -285,7 +293,7 @@ class ConsistencyReport:
 
 
 def consistency_check(datum: TgwDatum) -> ConsistencyReport:
-    """Evaluate the pair and triple identities symbolically in the base ring.
+    """Evaluate the pair and triple identities exactly in the base ring.
 
     Pairs i < j:   sigma_i sigma_j(t_i t_j) = mu_ij mu_ji sigma_i(t_i) sigma_j(t_j)
     Triples:       sigma_i sigma_k(t_j) t_j = sigma_i(t_j) sigma_k(t_j),
@@ -293,18 +301,49 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
 
     Both families are symmetric in the swapped indices, so unordered
     iteration covers all instances.
+
+    Each t_i is a pure tensor: a product of one univariate factor per row
+    (``_row_factor`` of the matrix entry), and each sigma shifts every row
+    on its own, so both sides of every identity are pure tensors
+    c * (x)_r f_r(u_r) over the rows the columns involved touch.  The base
+    ring is the tensor product of the row rings k[u] (Weyl rows) and
+    k[u]/(u^2 - u) (Clifford rows), so a pure tensor is zero iff one of its
+    row factors is, and two nonzero ones agree iff their factors are
+    proportional row by row with the ratios multiplying out to the ratio of
+    the scalars.  The factors here stay normalized, so that reduces to
+    equality (``_same_tensor``).  Weyl factors are integer coefficient
+    lists, shifted by Horner (f(u) -> f(u - s)); Clifford factors are their
+    values at u = 0 and u = 1, which an odd shift swaps and a product
+    multiplies pointwise.  An instance therefore costs O(n) factor
+    operations over the rows its columns touch, with nothing expanded in
+    the n variables, and there are O(m^3) instances.
     """
-    m = datum.gm.m
+    gm, sigma, mu = datum.gm, datum.sigma, datum.mu
+    m = gm.m
+    cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
+    t = [
+        {r: _tensor_factor(cliff[r], k) for r, k in enumerate(gm.column(c)) if k}
+        for c in range(m)
+    ]
+
+    def shifted(c, s):
+        return {r: _shift_factor(f, s[r], cliff[r]) for r, f in t[c].items()}
+
+    def times(a, b):
+        out = dict(a)
+        for r, g in b.items():
+            out[r] = _times_factor(out[r], g, cliff[r]) if r in out else g
+        return out
+
     instances: list[ConsistencyInstance] = []
     for i in range(m):
         for j in range(i + 1, m):
-            si, sj = datum.sigma[i], datum.sigma[j]
+            si, sj = sigma[i], sigma[j]
             both = tuple(a + b for a, b in zip(si, sj))
-            lhs = tau_apply(both, datum.t[i] * datum.t[j])
-            rhs = (datum.mu[i][j] * datum.mu[j][i]) * (
-                tau_apply(si, datum.t[i]) * tau_apply(sj, datum.t[j])
-            )
-            instances.append(ConsistencyInstance("pair", (i, j), lhs == rhs))
+            lhs = times(shifted(i, both), shifted(j, both))
+            rhs = times(shifted(i, si), shifted(j, sj))
+            holds = _same_tensor(lhs, rhs, mu[i][j] * mu[j][i])
+            instances.append(ConsistencyInstance("pair", (i, j), holds))
     for j in range(m):
         for i in range(m):
             if i == j:
@@ -312,12 +351,57 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
             for k in range(i + 1, m):
                 if k == j:
                     continue
-                si, sk = datum.sigma[i], datum.sigma[k]
+                si, sk = sigma[i], sigma[k]
                 both = tuple(a + b for a, b in zip(si, sk))
-                lhs = tau_apply(both, datum.t[j]) * datum.t[j]
-                rhs = tau_apply(si, datum.t[j]) * tau_apply(sk, datum.t[j])
-                instances.append(ConsistencyInstance("triple", (i, j, k), lhs == rhs))
+                lhs = times(shifted(j, both), t[j])
+                rhs = times(shifted(j, si), shifted(j, sk))
+                instances.append(ConsistencyInstance("triple", (i, j, k), _same_tensor(lhs, rhs)))
     return ConsistencyReport(instances)
+
+
+def _tensor_factor(clifford: bool, k: int) -> tuple[int, ...]:
+    """The row factor of entry k: coefficients on a Weyl row, the values at
+    u = 0 and u = 1 on a Clifford row."""
+    coeffs = _row_factor(clifford, k)
+    return (coeffs[0], sum(coeffs)) if clifford else tuple(coeffs)
+
+
+def _shift_factor(f: tuple[int, ...], s: int, clifford: bool) -> tuple[int, ...]:
+    """The row factor f(u) carried to f(u - s), or f(1 - u) for odd s on a
+    Clifford row."""
+    if clifford:
+        return f[::-1] if s & 1 else f
+    if not s:
+        return f
+    out: list[int] = []
+    for a in reversed(f):
+        # Horner step: out * (u - s) + a
+        out = [lo - s * hi for lo, hi in zip([0] + out, out + [0])]
+        out[0] += a
+    return tuple(out)
+
+
+def _times_factor(f: tuple[int, ...], g: tuple[int, ...], clifford: bool) -> tuple[int, ...]:
+    if clifford:
+        return (f[0] * g[0], f[1] * g[1])
+    out = [0] * (len(f) + len(g) - 1)
+    for a, x in enumerate(f):
+        for b, y in enumerate(g):
+            out[a + b] += x * y
+    return tuple(out)
+
+
+def _same_tensor(lhs: dict, rhs: dict, scalar: int = 1) -> bool:
+    """Whether the pure tensor lhs equals scalar * rhs (factors on the same
+    rows).  Every factor is already in normal form, since rising and falling
+    products are monic and shifts and products keep them so, while Clifford
+    values stay in {0, 1}: two nonzero tensors agree iff the scalar is 1 and
+    the factors agree row by row."""
+    lhs_zero = not all(any(f) for f in lhs.values())
+    rhs_zero = not scalar or not all(any(g) for g in rhs.values())
+    if lhs_zero or rhs_zero:
+        return lhs_zero and rhs_zero
+    return scalar == 1 and lhs == rhs
 
 
 def phi_generator(gm: GammaMatrix, col: int, kind: str = "X") -> SuperElement:

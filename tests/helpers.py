@@ -7,11 +7,16 @@ directions contribute exterior factors (kept sorted, insertion and deletion
 signs counted), the remaining directions contribute polynomial factors, and
 a polynomial-direction letter crossing the exterior block picks up the
 mixed swap sign of the variant (+1 for minus, -1 for plus).
+
+``expanded_consistency`` is the second oracle: it decides the consistency
+identities by expanding both sides in all n base-ring variables through
+``tau_apply`` and ``BaseRingElement`` products, the way ``consistency_check``
+did before it went row by row.
 """
 
 from fractions import Fraction
 
-from superweyl import GammaMatrix, Signature, SuperElement, validate_gamma
+from superweyl import GammaMatrix, Signature, SuperElement, tau_apply, validate_gamma
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
 # A letter is coded 2*index + kind, with kind 0 for x and 1 for d.
@@ -213,3 +218,31 @@ def inj_example_matrices(p=1, q=2):
         "beta": bidiagonal_matrix(sig, n, last=1),
         "gamma": bidiagonal_matrix(sig, n, last=2),
     }
+
+
+def expanded_consistency(datum):
+    """(kind, indices, passed) per instance, in ``consistency_check`` order."""
+    m = datum.gm.m
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            si, sj = datum.sigma[i], datum.sigma[j]
+            both = tuple(a + b for a, b in zip(si, sj))
+            lhs = tau_apply(both, datum.t[i] * datum.t[j])
+            rhs = (datum.mu[i][j] * datum.mu[j][i]) * (
+                tau_apply(si, datum.t[i]) * tau_apply(sj, datum.t[j])
+            )
+            out.append(("pair", (i, j), lhs == rhs))
+    for j in range(m):
+        for i in range(m):
+            if i == j:
+                continue
+            for k in range(i + 1, m):
+                if k == j:
+                    continue
+                si, sk = datum.sigma[i], datum.sigma[k]
+                both = tuple(a + b for a, b in zip(si, sk))
+                lhs = tau_apply(both, datum.t[j]) * datum.t[j]
+                rhs = tau_apply(si, datum.t[j]) * tau_apply(sk, datum.t[j])
+                out.append(("triple", (i, j, k), lhs == rhs))
+    return out

@@ -209,3 +209,25 @@ def test_tau_apply_many_terms_matches_termwise():
         for exps, c in r.terms.items():
             termwise = termwise + tau_apply(shift, BaseRingElement(sig, {exps: c}))
         assert tau_apply(shift, r) == termwise
+
+
+@pytest.mark.parametrize("i", [0, 1], ids=["weyl index", "clifford index"])
+def test_tau_single_rejects_non_int_exact_shift(i):
+    sig = Signature("minus", (0, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        tau_single(sig, i, Fraction(3, 2))
+    with pytest.raises(ValueError, match="must be integers"):
+        tau_apply((Fraction(3, 2), 0), u(sig, 0))
+
+
+def test_evaluate_rejects_inexact_points():
+    sig = Signature("minus", (0, 0))
+    with pytest.raises(TypeError, match="exact rationals"):
+        u(sig, 0).evaluate([0.5, "1"])
+
+
+def test_evaluate_keeps_exact_points():
+    sig = Signature("minus", (0, 1))
+    r = u(sig, 0) ** 2 - u(sig, 1)
+    assert r.evaluate([3, 1]) == 8
+    assert r.evaluate([Fraction(1, 2), Fraction(0)]) == Fraction(1, 4)

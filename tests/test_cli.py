@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from superweyl import gamma_to_dict, zeta_matrix
 from superweyl.cli import run
 
 ID11 = {"sign": "minus", "parity": [0, 1], "gamma": [[1, 0], [0, 1]]}
@@ -192,4 +193,30 @@ def test_sample_box_commands_golden(argv, lines, digest, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TRIPLE_FAIL = {"sign": "minus", "parity": [1, 1], "gamma": [[-1, 1, 1], [1, 1, -1]]}
+DENSE_8 = {"sign": "minus", "parity": [0] * 8, "gamma": [[1, -1]] * 8}
+
+
+@pytest.mark.parametrize("fmt, data, code, lines, digest", [
+    ([], TRIPLE_FAIL, 1, 8,
+     "a431ca0c1656977d09a376f57848a7724ae4b0fc6db99cc08662d8323e9941e9"),
+    (["--format", "json"], TRIPLE_FAIL, 1, 1,
+     "a32087f99bcceaba81111627c463d711b6decbce3d04fd4aa494fd894b621922"),
+    ([], DENSE_8, 0, 3,
+     "d64ef16187ba8e1081258e1bedd6c35b0aec211da410539c2c2a34ef0eddfbe5"),
+    ([], "zeta gl 12 0", 0, 552,
+     "f0855aa0409b5c2356799c5a8483543caf4447594da9a8435e0721ff35ce8737"),
+], ids=["triple fail text", "triple fail json", "dense 2-column n=8", "zeta gl 12 0"])
+def test_consistency_golden(fmt, data, code, lines, digest, matrix_file, capsys):
+    # stdout recorded from the check that expanded every identity in all n variables
+    if data == "zeta gl 12 0":
+        data = gamma_to_dict(zeta_matrix("gl", 12, 0))
+    assert run(fmt + ["consistency", matrix_file(data)]) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    if data is TRIPLE_FAIL:
+        assert "FAIL" in out if not fmt else '"pass": false' in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

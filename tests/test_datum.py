@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import superweyl.basering
 import superweyl.datum
 from superweyl import (
     BaseRingElement,
@@ -29,10 +31,13 @@ from superweyl import (
     tau_apply,
     validate_gamma,
     word_element,
+    zeta_matrix,
 )
-from helpers import bidiagonal_matrix, random_valid_gamma
+from helpers import bidiagonal_matrix, expanded_consistency, random_valid_gamma
 
 EX_C = GammaMatrix(Signature("minus", (0, 1, 1)), ((1, 3, 0), (1, 0, -1), (1, -1, 1)))
+# valid, and its triple identities genuinely fail
+TRIPLE_FAIL = GammaMatrix(Signature("minus", (1, 1)), ((-1, 1, 1), (1, 1, -1)))
 
 
 def u(sig, i):
@@ -301,8 +306,7 @@ def test_consistency_identity_and_trivial():
 def test_consistency_failure_is_reported_not_judged():
     # a valid matrix whose triple identity genuinely fails: the check is a
     # diagnostic, not a consistency verdict, and the report says so
-    sig = Signature("minus", (1, 1))
-    gm = GammaMatrix(sig, ((-1, 1, 1), (1, 1, -1)))
+    gm = TRIPLE_FAIL
     assert validate_gamma(gm).valid
     rep = consistency_check(derive_datum(gm))
     assert not rep.all_pass
@@ -311,6 +315,88 @@ def test_consistency_failure_is_reported_not_judged():
     assert "diagnostic" in rep.note
     # and every pair identity still holds
     assert all(inst.passed for inst in rep.instances if inst.kind == "pair")
+
+
+def _instances(report):
+    return [(inst.kind, inst.indices, inst.passed) for inst in report.instances]
+
+
+def test_consistency_matches_expanded_oracle_on_random_matrices():
+    rng = random.Random(20240607)
+    failing = 0
+    for sign in ("minus", "plus"):
+        for _ in range(600):
+            datum = derive_datum(random_valid_gamma(rng, max_n=4, max_m=4, sign=sign))
+            got = _instances(consistency_check(datum))
+            assert got == expanded_consistency(datum), datum.gm
+            failing += any(not passed for _, _, passed in got)
+    assert failing >= 10
+
+
+FIXED_CONSISTENCY = {
+    **{f"zeta {f} {p} {q}": zeta_matrix(f, p, q) for f in ("gl", "osp_even", "osp_odd")
+       for p, q in ((1, 1), (2, 1), (1, 3), (2, 2), (4, 4))},
+    "zeta gl 8 0": zeta_matrix("gl", 8, 0),
+    "zeta osp_even 0 5": zeta_matrix("osp_even", 0, 5),
+    "identity minus 011": identity_gamma(Signature("minus", (0, 1, 1))),
+    "identity plus 1001": identity_gamma(Signature("plus", (1, 0, 0, 1))),
+    "triple fail": TRIPLE_FAIL,
+    "EX_C": EX_C,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CONSISTENCY))
+def test_consistency_matches_expanded_oracle_on_fixed_matrices(name):
+    datum = derive_datum(FIXED_CONSISTENCY[name])
+    assert _instances(consistency_check(datum)) == expanded_consistency(datum)
+
+
+@pytest.mark.parametrize("gm, pair_holds", [
+    (TRIPLE_FAIL, True),
+    (identity_gamma(Signature("minus", (0, 0, 1))), False),
+    (GammaMatrix(Signature("minus", (0,) * 4), ((1, -1),) * 4), False),
+], ids=["triple fail", "identity", "dense 2-column"])
+def test_consistency_honours_an_asymmetric_mu(gm, pair_holds):
+    # a hand-built datum whose mu_12 mu_21 is -1: pair (1, 2) holds only when
+    # both of its sides vanish, as on the Clifford rows of the triple matrix
+    datum = derive_datum(gm)
+    mu = [list(row) for row in datum.mu]
+    mu[0][1] = -mu[0][1]
+    datum = dataclasses.replace(datum, mu=tuple(tuple(row) for row in mu))
+    assert _instances(consistency_check(datum)) == expanded_consistency(datum)
+    assert consistency_check(datum).instances[0].passed is pair_holds
+
+
+def test_consistency_check_does_not_expand(monkeypatch):
+    datum = derive_datum(TRIPLE_FAIL)
+    before = _instances(consistency_check(datum))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expanded base-ring arithmetic")
+
+    monkeypatch.setattr(superweyl.basering, "tau_apply", refuse)
+    monkeypatch.setattr(superweyl.basering, "tau_single", refuse)
+    monkeypatch.setattr(BaseRingElement, "__mul__", refuse)
+    assert _instances(consistency_check(datum)) == before
+    zeta = derive_datum(zeta_matrix("osp_even", 3, 3))
+    assert consistency_check(zeta).all_pass
+
+
+def test_derive_t_matches_factor_products():
+    # the outer product of row factors equals the product of ring elements
+    rng = random.Random(5)
+    for _ in range(200):
+        gm = random_valid_gamma(rng, max_n=4, max_m=3)
+        sig = gm.sig
+        for c in range(gm.m):
+            t = one(sig)
+            for r, k in enumerate(gm.column(c)):
+                if sig.is_clifford(r) and k < 0:
+                    t = t * (one(sig) - u(sig, r))
+                    continue
+                for s in range(k) if k > 0 else range(-1, k - 1, -1):
+                    t = t * (u(sig, r) + BaseRingElement.const(sig, s))
+            assert derive_t(gm, c) == t
 
 
 def test_json_round_trip():
