@@ -220,3 +220,61 @@ def test_consistency_golden(fmt, data, code, lines, digest, matrix_file, capsys)
     if data is TRIPLE_FAIL:
         assert "FAIL" in out if not fmt else '"pass": false' in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+HELP_PINS = [
+    (["-h"], 0, "2025d67a1656d2a739b69497f51e7e8e08bc1429f042a39a52f3f35632c56687", EMPTY),
+    (["validate", "-h"], 0,
+     "af6ad29099c0b7bb6676ddee6287d29cb13b614a8c9b74d303735939662931b4", EMPTY),
+    (["datum", "-h"], 0,
+     "97efcfcfa8a946c68cb6da0e31e25568cf5d19213a2d9cf7589079f7a9d3454a", EMPTY),
+    (["consistency", "-h"], 0,
+     "adc3ecbc63d1fc9f41705a131738d7a071adb7fbcf77323cbc51cf27667f6aaa", EMPTY),
+    (["phi", "-h"], 0,
+     "2a0f5dd2840be40bf9a6f60ec1a2b5d8ae5036060e57fc595f0f8179ad84614f", EMPTY),
+    (["eval", "-h"], 0,
+     "f7228eaa520ee6b6e89fc421f2604cf7c29a7c796e04a591d102b1d3002bd3c4", EMPTY),
+    (["support", "-h"], 0,
+     "06f0226eb471865b70d222fb9f9f9832212a27e243176568a18a8cb392d9ebb9", EMPTY),
+    (["support", "member", "-h"], 0,
+     "d30a1bbab03e2efd491a870e586e18dbab3634d57ac7b9bf5b6005f4c88d440f", EMPTY),
+    (["support", "enum", "-h"], 0,
+     "9c491935c6fbff6c00b0a8bd4775e29df2b11b99cc7cf1bf24e1ba78162d9531", EMPTY),
+    (["injectivity", "-h"], 0,
+     "a1d20fbc69ed2dc9aad98f66e7e64987f8f3bdc2da459ca20f1db02b575da6f3", EMPTY),
+    (["lie", "-h"], 0,
+     "c7411be4959dbc32f095e38f81217e907ee2148b2a527cadbd8d3ed5c742cf57", EMPTY),
+    (["lie", "check", "-h"], 0,
+     "8c8d8719b29168997ce0150faaa4974b1acd2da01a4703a13bb694c73adcf35e", EMPTY),
+    ([], 2, EMPTY, "17d41b5e959d8f5735a2480a1d3393560ff577a996f3ba2cd2259aaa51eaf0de"),
+    (["florp"], 2, EMPTY,
+     "099eec7bbc81a82284fac5064a79d919e7961600181b5ffea736ab77b33d3af4"),
+    (["support", "florp"], 2, EMPTY,
+     "be8800d760b38e845a04544d4293fe8f77929fd7eb1ab51cc59a7769a4cb6bbd"),
+    (["lie"], 2, EMPTY, "77937f86cc3c573693a94553d8b627ea7abb1c2029c773d3dc79f0339a172321"),
+    (["validate"], 2, EMPTY,
+     "f0ccf7701009c039a130cfe1de0dfdd3635f9c3f98376c1a76f1e161bcf1caa6"),
+    (["--format", "xml", "validate", "F"], 2, EMPTY,
+     "c95ef26eb9c8d443f0e003eb600f002bce3ad6fe00b293407dc1bc5cdd9f7742"),
+    (["--form", "json", "validate", "F"], 0,
+     "8add4a6828d904a40b5d4f2e79a6ac8c67539f4a004644ab4794d153d3f12a43", EMPTY),
+    (["support", "enum", "F", "--box", "-1:1,-1:1", "--cap", "x"], 2, EMPTY,
+     "7e005e4a9caed4e271781845d1f4d940358d156dd01347dbf536abf53a351233"),
+    (["lie", "check", "sl", "2", "2"], 2, EMPTY,
+     "b446ff640bed6a89f4592193f54d74d0aebc22f1aabdb3839f1d5e83b8adbc12"),
+    (["phi", "F", "-i", "1", "--kind", "Z"], 2, EMPTY,
+     "37a5b9c3f2170fa107e314e70e235ac2b461227e670671e76d1e0994a6ef76f7"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_digest, err_digest", HELP_PINS,
+                         ids=[" ".join(pin[0]) or "no arguments" for pin in HELP_PINS])
+def test_help_and_usage_bytes(argv, code, out_digest, err_digest, monkeypatch, capsys):
+    # help and usage errors recorded from the parser that built every subcommand;
+    # argparse wraps help to the terminal width, so pin it.  F is samples/band.json.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([str(SAMPLES / "band.json") if a == "F" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
