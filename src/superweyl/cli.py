@@ -268,66 +268,113 @@ def _cmd_lie_check(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+class _LazySubParsers(argparse._SubParsersAction):
+    """Subcommand action that builds a subcommand's parser only once it is chosen.
+
+    ``add_parser`` records the help line and keeps the builder where argparse
+    keeps the parser, so choices, usage, ``invalid choice`` errors and help
+    listings come out as with eagerly built parsers.  This leans on argparse
+    internals (``_SubParsersAction``, ``_ChoicesPseudoAction``,
+    ``_name_parser_map``, ``_prog_prefix``), checked on Python 3.11.7 only;
+    the pinned help and usage tests in tests/test_cli.py catch drift.
+    """
+
+    def add_parser(self, name, build, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        sub = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}")
+        self._name_parser_map[name](sub)
+        self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _subcommands(dest: str, *entries):
+    """Builder of a parser whose next positional picks one of the
+    (name, builder, help) entries."""
+    def build(p):
+        sub = p.add_subparsers(dest=dest, required=True, action=_LazySubParsers)
+        for name, build_sub, help in entries:
+            sub.add_parser(name, build_sub, help)
+    return build
+
+
+def _matrix_only(func):
+    def build(p):
+        p.add_argument("matrix")
+        p.set_defaults(func=func)
+    return build
+
+
+def _build_phi(p):
+    p.add_argument("matrix")
+    p.add_argument("-i", "--index", type=int, required=True, help="column, 1-based")
+    p.add_argument("--kind", choices=("X", "Y"), default="X")
+    p.set_defaults(func=_cmd_phi)
+
+
+def _build_eval(p):
+    p.add_argument("matrix")
+    p.add_argument("-w", "--word", required=True, help="letters like 'Y1,X1'")
+    p.set_defaults(func=_cmd_eval)
+
+
+def _build_support_member(p):
+    p.add_argument("matrix")
+    p.add_argument("-g", required=True, help="degree vector, e.g. 1,2,1")
+    p.set_defaults(func=_cmd_support_member)
+
+
+def _build_support_enum(p):
+    p.add_argument("matrix")
+    p.add_argument("--box", required=True, help="per-column lo:hi, e.g. -3:3,-3:3")
+    p.add_argument("--even-lattice", action="store_true")
+    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
+    p.set_defaults(func=_cmd_support_enum)
+
+
+def _build_injectivity(p):
+    p.add_argument("matrix")
+    p.add_argument("--box", required=True)
+    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
+    p.set_defaults(func=_cmd_injectivity)
+
+
+def _build_lie_check(p):
+    p.add_argument("family", choices=("gl", "osp_even", "osp_odd"))
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+    p.add_argument("--calibrate", action="store_true", help="solve instead of loading fixtures")
+    p.add_argument("--fixtures", help="alternative calibration fixture file")
+    p.set_defaults(func=_cmd_lie_check)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superweyl",
         description="Clifford/Weyl superalgebra and twisted-Weyl matrix tooling",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a matrix file")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("datum", help="derived t, sigma, mu, parities")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_datum)
-
-    p = sub.add_parser("consistency", help="pair and triple identities (diagnostic)")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_consistency)
-
-    p = sub.add_parser("phi", help="image of one generator")
-    p.add_argument("matrix")
-    p.add_argument("-i", "--index", type=int, required=True, help="column, 1-based")
-    p.add_argument("--kind", choices=("X", "Y"), default="X")
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("eval", help="image and degree of a generator word")
-    p.add_argument("matrix")
-    p.add_argument("-w", "--word", required=True, help="letters like 'Y1,X1'")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("support", help="graded-support queries")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    pm = ssub.add_parser("member", help="decide one degree vector")
-    pm.add_argument("matrix")
-    pm.add_argument("-g", required=True, help="degree vector, e.g. 1,2,1")
-    pm.set_defaults(func=_cmd_support_member)
-    pe = ssub.add_parser("enum", help="enumerate a box")
-    pe.add_argument("matrix")
-    pe.add_argument("--box", required=True, help="per-column lo:hi, e.g. -3:3,-3:3")
-    pe.add_argument("--even-lattice", action="store_true")
-    pe.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
-    pe.set_defaults(func=_cmd_support_enum)
-
-    p = sub.add_parser("injectivity", help="rank, kernel, and boxed injectivity")
-    p.add_argument("matrix")
-    p.add_argument("--box", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
-    p.set_defaults(func=_cmd_injectivity)
-
-    p = sub.add_parser("lie", help="Chevalley presentation checks")
-    lsub = p.add_subparsers(dest="subcommand", required=True)
-    pc = lsub.add_parser("check", help="relation residuals and triangle report")
-    pc.add_argument("family", choices=("gl", "osp_even", "osp_odd"))
-    pc.add_argument("p", type=int)
-    pc.add_argument("q", type=int)
-    pc.add_argument("--calibrate", action="store_true", help="solve instead of loading fixtures")
-    pc.add_argument("--fixtures", help="alternative calibration fixture file")
-    pc.set_defaults(func=_cmd_lie_check)
-
+    _subcommands(
+        "command",
+        ("validate", _matrix_only(_cmd_validate), "validate a matrix file"),
+        ("datum", _matrix_only(_cmd_datum), "derived t, sigma, mu, parities"),
+        ("consistency", _matrix_only(_cmd_consistency), "pair and triple identities (diagnostic)"),
+        ("phi", _build_phi, "image of one generator"),
+        ("eval", _build_eval, "image and degree of a generator word"),
+        ("support", _subcommands(
+            "subcommand",
+            ("member", _build_support_member, "decide one degree vector"),
+            ("enum", _build_support_enum, "enumerate a box"),
+        ), "graded-support queries"),
+        ("injectivity", _build_injectivity, "rank, kernel, and boxed injectivity"),
+        ("lie", _subcommands(
+            "subcommand",
+            ("check", _build_lie_check, "relation residuals and triangle report"),
+        ), "Chevalley presentation checks"),
+    )(parser)
     return parser
 
 

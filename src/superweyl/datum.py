@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, int_tuple
 from .basering import BaseRingElement, _outer_product, _xd_coeffs, project_zero
-from .errors import InvalidGammaError, SignatureMismatchError
+from .errors import InvalidGammaError, ResourceCapError, SignatureMismatchError
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,21 @@ def validate_gamma(gm: GammaMatrix) -> ValidationReport:
     return report
 
 
+# Largest |entry| a derived computation accepts: t_i holds a degree-|k|
+# factor per row, and from about k = 1500 its coefficients pass Python's
+# int-to-str digit limit, so they no longer render.
+MAX_ENTRY = 1000
+
+
 def require_valid(gm: GammaMatrix) -> None:
+    """Raise InvalidGammaError for an invalid matrix, ResourceCapError for an
+    entry beyond MAX_ENTRY."""
     report = validate_gamma(gm)
     if not report.valid:
         raise InvalidGammaError(report)
+    biggest = max(abs(v) for row in gm.rows for v in row)
+    if biggest > MAX_ENTRY:
+        raise ResourceCapError(f"|entry| = {biggest} exceeds the entry cap {MAX_ENTRY}")
 
 
 def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
@@ -228,14 +240,21 @@ def _derive_mu(gm: GammaMatrix):
 
 @dataclass(frozen=True)
 class TgwDatum:
-    """Derived data bundle for a validated matrix."""
+    """Derived data bundle for a validated matrix.
+
+    ``t`` is expanded from ``gm`` on first read: it has a term per choice of
+    one coefficient from every row factor, and consistency_check never reads it.
+    """
 
     gm: GammaMatrix
-    t: tuple[BaseRingElement, ...]
     sigma: tuple[tuple[int, ...], ...]
     mu: tuple[tuple[int, ...], ...]
     pparity: tuple[int, ...]
     pprime: tuple[int, ...]
+
+    @cached_property
+    def t(self) -> tuple[BaseRingElement, ...]:
+        return tuple(_derive_t(self.gm, c) for c in range(self.gm.m))
 
 
 def derive_datum(gm: GammaMatrix) -> TgwDatum:
@@ -243,7 +262,6 @@ def derive_datum(gm: GammaMatrix) -> TgwDatum:
     mu, pparity, pprime = _derive_mu(gm)
     return TgwDatum(
         gm=gm,
-        t=tuple(_derive_t(gm, c) for c in range(gm.m)),
         sigma=tuple(gm.column(c) for c in range(gm.m)),
         mu=mu,
         pparity=pparity,

@@ -1,9 +1,16 @@
+import argparse
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+import superweyl.datum
 from superweyl import gamma_to_dict, zeta_matrix
 from superweyl.cli import run
 
@@ -278,3 +285,74 @@ def test_help_and_usage_bytes(argv, code, out_digest, err_digest, monkeypatch, c
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
+
+
+def test_run_builds_only_the_chosen_parser_chain(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    def parsers_built(argv):
+        built.clear()
+        run(argv)
+        capsys.readouterr()
+        gc.collect()
+        # no parser is cached past the call that built it
+        assert all(ref() is None for ref in built)
+        return len(built)
+
+    band = str(SAMPLES / "band.json")
+    assert parsers_built(["validate", band]) == 2
+    assert parsers_built(["validate", band]) == 2
+    assert parsers_built(["support", "enum", band, "--box", "-1:1,-1:1"]) == 3
+    assert parsers_built(["lie", "check", "gl", "2", "1"]) == 3
+    assert parsers_built(["-h"]) == 1
+    assert parsers_built(["support", "-h"]) == 2
+
+
+def test_consistency_does_not_expand_t(matrix_file, monkeypatch, capsys):
+    path = matrix_file(DENSE_8)
+    assert run(["consistency", path]) == 0
+    before = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("t expanded")
+
+    monkeypatch.setattr(superweyl.datum, "_derive_t", refuse)
+    assert run(["consistency", path]) == 0
+    assert capsys.readouterr().out == before
+
+
+CAP_ERROR = "error: |entry| = 1001 exceeds the entry cap 1000\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["datum"], 2, "", CAP_ERROR),
+    (["eval", "-w", "Y1,X1"], 2, "", CAP_ERROR),
+    (["consistency"], 2, "", CAP_ERROR),
+    (["validate"], 0, "valid: yes\n", ""),
+], ids=["datum", "eval", "consistency", "validate"])
+def test_entry_cap_is_a_resource_error(argv, code, out, err, matrix_file, capsys):
+    at_cap = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1000]]})
+    over = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1001]]}, "over.json")
+    assert run(argv[:1] + [at_cap] + argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(argv[:1] + [over] + argv[1:]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["lie", "check", "-h"], ["florp"]])
+def test_module_entry_point_matches_run(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "superweyl.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)

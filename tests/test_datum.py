@@ -10,6 +10,7 @@ from superweyl import (
     BaseRingElement,
     GammaMatrix,
     InvalidGammaError,
+    ResourceCapError,
     Signature,
     SuperElement,
     consistency_check,
@@ -380,6 +381,40 @@ def test_consistency_check_does_not_expand(monkeypatch):
     assert _instances(consistency_check(datum)) == before
     zeta = derive_datum(zeta_matrix("osp_even", 3, 3))
     assert consistency_check(zeta).all_pass
+
+
+def test_derive_datum_expands_t_only_when_read(monkeypatch):
+    dense = GammaMatrix(Signature("minus", (0,) * 6), ((1, -1),) * 6)
+    matrices = (TRIPLE_FAIL, dense, zeta_matrix("gl", 3, 1))
+    before = [_instances(consistency_check(derive_datum(gm))) for gm in matrices]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("t expanded")
+
+    monkeypatch.setattr(superweyl.datum, "_derive_t", refuse)
+    assert [_instances(consistency_check(derive_datum(gm))) for gm in matrices] == before
+    with pytest.raises(AssertionError, match="t expanded"):
+        derive_datum(dense).t
+    monkeypatch.undo()
+    datum = derive_datum(EX_C)
+    assert datum.t == tuple(derive_t(EX_C, c) for c in range(EX_C.m))
+    assert datum.t is datum.t
+    assert dataclasses.replace(datum, mu=datum.mu).t == datum.t
+
+
+def test_entry_cap_boundary():
+    # past the cap a rendered t_i or word image outgrows int-to-str conversion
+    sig = Signature("minus", (0, 1))
+    at_cap = GammaMatrix(sig, ((1000, -1000), (1, 0)))
+    assert derive_datum(at_cap).sigma == ((1000, 1), (-1000, 0))
+    assert str(eval_word(at_cap, [("Y", 0), ("X", 0)]).image)
+    for k in (1001, -1001):
+        gm = GammaMatrix(sig, ((k, -k), (1, 0)))
+        assert validate_gamma(gm).valid
+        for call in (derive_datum, lambda gm: phi_generator(gm, 0),
+                     lambda gm: is_in_support(gm, (0, 0))):
+            with pytest.raises(ResourceCapError, match="= 1001 exceeds the entry cap 1000"):
+                call(gm)
 
 
 def test_derive_t_matches_factor_products():
