@@ -32,6 +32,8 @@ class GammaMatrix:
 
     sig: Signature
     rows: tuple[tuple[int, ...], ...]
+    # largest |entry|, set once here so require_valid checks its cap in O(1)
+    max_abs_entry: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(int_tuple(row, "matrix entries") for row in self.rows)
@@ -43,6 +45,7 @@ class GammaMatrix:
         if any(len(row) != m for row in rows):
             raise ValueError("all rows must have the same length")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "max_abs_entry", max(abs(v) for row in rows for v in row))
 
     @property
     def n(self) -> int:
@@ -175,9 +178,8 @@ def require_valid(gm: GammaMatrix) -> None:
     report = validate_gamma(gm)
     if not report.valid:
         raise InvalidGammaError(report)
-    biggest = max(abs(v) for row in gm.rows for v in row)
-    if biggest > MAX_ENTRY:
-        raise ResourceCapError(f"|entry| = {biggest} exceeds the entry cap {MAX_ENTRY}")
+    if gm.max_abs_entry > MAX_ENTRY:
+        raise ResourceCapError(f"|entry| = {gm.max_abs_entry} exceeds the entry cap {MAX_ENTRY}")
 
 
 def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
