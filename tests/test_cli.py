@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -356,3 +357,39 @@ def test_module_entry_point_matches_run(argv, monkeypatch, capsys):
     code = run(argv)
     captured = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def _fixture_copy(tmp_path, family, key, value, name="fixtures.json"):
+    """The packaged calibration fixture with one value replaced, as a file."""
+    data = json.loads(
+        resources.files("superweyl").joinpath("data/lie_calibration.json").read_text()
+    )
+    data[family][key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, lines, digest", [
+    (["lie", "check", "gl", "4", "4", "--calibrate"], 0, 193,
+     "bff4baa6f33bc4917f2b477c09f19a416b19516879039f0faeb5e067daf73153"),
+    (["--format", "json", "lie", "check", "osp_odd", "4", "4"], 0, 1,
+     "ddb303f0070c54f8645bbf271b58430a903d6f9950ae68b7ce82769fab44b956"),
+    (["lie", "check", "osp_even", "1", "7"], 0, 193,
+     "24f5fe86bd0a5a11a1ca98a53dab5de4a0127fecc2a45f77cc3508286f4d42cd"),
+    (["lie", "check", "gl", "16", "0"], 0, 829,
+     "eb5c944def2880a9fb4f14095151c7e329a73e47b40791b50f5b0866ecdc732b"),
+    (["lie", "check", "gl", "3", "2", "--fixtures", "E2"], 1, 70,
+     "6994ccbcf4e2f852a9fd50c9ff283579124f9c34fdbec17c293825f5625bcc10"),
+], ids=["gl 4 4 calibrate", "json osp_odd 4 4", "osp_even 1 7", "gl 16 0",
+        "gl 3 2 e_scale 2"])
+def test_lie_check_golden(argv, code, lines, digest, tmp_path, capsys):
+    # stdout recorded from the residuals built by SuperElement products per call;
+    # E2 is the packaged fixture with the gl raising scale set to 2
+    e2 = _fixture_copy(tmp_path, "gl", "e_scale", "2")
+    assert run([e2 if a == "E2" else a for a in argv]) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    if code:
+        assert out.count("FAIL residual") == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
