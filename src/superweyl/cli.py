@@ -35,20 +35,25 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _load_matrix(path: str):
+def _from_file(what: str, path: str, load):
+    """load(), with a failure to read, parse or accept the file as a usage error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        return load()
     except OSError as exc:
-        raise _UsageError(f"cannot read matrix file: {exc}")
+        raise _UsageError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
         raise _UsageError(
-            f"matrix file {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{what} file {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    try:
-        return gamma_from_dict(data)
     except (ValueError, TypeError) as exc:
-        raise _UsageError(f"matrix file {path}: {exc}")
+        raise _UsageError(f"{what} file {path}: {exc}")
+
+
+def _load_matrix(path: str):
+    def load():
+        with open(path, "r", encoding="utf-8") as fh:
+            return gamma_from_dict(json.load(fh))
+    return _from_file("matrix", path, load)
 
 
 class _UsageError(Exception):
@@ -239,7 +244,7 @@ def _cmd_lie_check(args) -> int:
         solved = result.solved
         message = result.message
     else:
-        cal = load_calibration(pre, args.fixtures)
+        cal = _from_file("fixture", args.fixtures, lambda: load_calibration(pre, args.fixtures))
         solved = True
         message = "fixture"
     relations = check_relations(pre, cal)

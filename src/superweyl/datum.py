@@ -61,6 +61,11 @@ class GammaMatrix:
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c] for row in self.rows)
 
+    @cached_property
+    def column_degrees(self) -> tuple[int, ...]:
+        """Total generator exponent of each column's word: sum of |entries|."""
+        return tuple(sum(abs(row[c]) for row in self.rows) for c in range(self.m))
+
     def apply(self, g: Sequence[int]) -> tuple[int, ...]:
         """Image of g under the linear map Z^m -> Z^n."""
         if len(g) != self.m:
@@ -455,13 +460,30 @@ class GradedElement:
         return GradedElement(tuple(-d for d in self.degree), self.image.star())
 
 
+# Largest total generator exponent of a word eval_word multiplies out.  A
+# word of total exponent 2k can reach d^k x^k, whose largest coefficient has
+# 2,593 digits at k = 1000 (Y1,X1 on [[1000]]), 3,359 at k = 1250 and passes
+# Python's 4,300-digit int-to-str limit near k = 1550.
+MAX_WORD_DEGREE = 2500
+
+
 def eval_word(gm: GammaMatrix, word: Iterable[tuple[str, int]]) -> GradedElement:
     """Ordered product of generator images for a word over {X_i, Y_i}.
 
     A zero image with a nonzero formal degree means the word vanishes in the
-    graded algebra the matrix defines.
+    graded algebra the matrix defines.  A word whose letters carry more than
+    MAX_WORD_DEGREE generator exponents in all (the sum of |entries| of each
+    letter's column) raises ResourceCapError before any product is taken.
     """
     require_valid(gm)
+    word = list(word)
+    degrees, m = gm.column_degrees, gm.m
+    # a letter out of range is left to _phi_generator's IndexError below
+    total = sum(degrees[col] for _, col in word if 0 <= col < m)
+    if total > MAX_WORD_DEGREE:
+        raise ResourceCapError(
+            f"word degree {total} exceeds the word-degree cap {MAX_WORD_DEGREE}"
+        )
     degree = [0] * gm.m
     image = SuperElement.one(gm.sig)
     for kind, col in word:

@@ -9,10 +9,17 @@ the raising ones, and pi(h_i) = x_i d_i + c_i for a central constant c_i
 fixed by the variant.
 
 The bracket residual of every displayed relation is computed exactly on
-scaled images.  Scale factors live in version-controlled fixtures; the
-``calibrate`` solver re-derives them by exact scalar-ratio matching (the
-raising scale is pinned by the column-word comparison, the lowering scale
-by the diagonal e-f relation) and verifies the full relation list.
+scaled images.  Each residual is bilinear in the images and the central
+constants and shifts of the h images bracket to zero, so the unscaled
+("raw") bracket of every relation depends on the preset alone: it is
+computed once per ``LiePreset``, on integer coefficient maps through the
+closed-form monomial product (exact fractions only where an image has
+them), and each calibration then costs one scalar multiple of every raw
+bracket minus its linear part.  Scale factors live in version-controlled
+fixtures; the ``calibrate`` solver re-derives them by exact scalar-ratio
+matching (the raising scale is pinned by the column-word comparison, the
+lowering scale by the diagonal e-f relation, read from the same raw
+brackets) and verifies the full relation list.
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .algebra import Signature, SuperElement
+from .algebra import Signature, SuperElement, _as_fraction, _mono_product, accumulate_terms
 from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, _phi_generator, require_valid
 from .errors import SignatureMismatchError
@@ -129,6 +138,13 @@ class LiePreset:
     @property
     def ne(self) -> int:
         return len(self.e_images)
+
+    @cached_property
+    def raw_brackets(self) -> tuple[Mapping, ...]:
+        """Unscaled bracket of each relation's two images, in relation order,
+        as read-only monomial -> coefficient maps (ints where the images'
+        coefficients are integral), computed on first read."""
+        return _raw_brackets(self)
 
 
 def preset(family: str, p: int, q: int) -> LiePreset:
@@ -243,55 +259,94 @@ class ResidualReport:
         }
 
 
-def _scaled_images(preset: LiePreset, cal: Calibration):
-    E = [c * img for c, img in zip(cal.e_scale, preset.e_images)]
-    F = [c * img for c, img in zip(cal.f_scale, preset.f_images)]
-    one = SuperElement.one(preset.sig)
-    H = [img + s * one for s, img in zip(cal.h_shift, preset.h_images)]
-    return E, F, H
+# Operands of each relation kind's bracket: "h", "e" or "f" images, at the
+# relation's i and j.
+_OPERANDS = {
+    "hh": ("h", "h"), "he": ("h", "e"), "hf": ("h", "f"), "hen": ("h", "e"),
+    "hfn": ("h", "f"), "ef": ("e", "f"), "enfn": ("e", "f"), "efn": ("e", "f"),
+    "enf": ("e", "f"),
+}
 
 
-def _relation_residual(preset: LiePreset, rel: Relation, E, F, H) -> SuperElement:
-    pe = preset.e_parity
-    p = preset.p
+def _integral(el: SuperElement) -> dict:
+    return {m: c.numerator if c.denominator == 1 else c for m, c in el.terms.items()}
+
+
+def _bracket_terms(sig: Signature, a: dict, b: dict, pa: int, pb: int) -> dict:
+    """ab - (-1)^(pa*pb) ba on coefficient maps."""
+    swap = 1 if pa & pb else -1
+    acc: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            c = c1 * c2
+            accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m1, m2)))
+            c = swap * c
+            accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m2, m1)))
+    return acc
+
+
+def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
+    one = ((0, 0),) * preset.sig.n
+    images = {
+        "e": [_integral(img) for img in preset.e_images],
+        "f": [_integral(img) for img in preset.f_images],
+        # the central constant of h_i brackets to zero
+        "h": [{m: c for m, c in _integral(img).items() if m != one} for img in preset.h_images],
+    }
+    parity = {"e": preset.e_parity, "f": preset.e_parity, "h": (0,) * preset.n}
+    out = []
+    for rel in preset.relations:
+        if rel.kind not in _OPERANDS:
+            raise ValueError(f"unknown relation kind {rel.kind!r}")
+        left, right = _OPERANDS[rel.kind]
+        out.append(MappingProxyType(_bracket_terms(
+            preset.sig, images[left][rel.i], images[right][rel.j],
+            parity[left][rel.i], parity[right][rel.j],
+        )))
+    return tuple(out)
+
+
+def _h_terms(preset: LiePreset, cal: Calibration, i: int, sign: int):
+    """(monomial, coefficient) pairs of sign * (h_i + shift_i)."""
+    yield from ((m, sign * c) for m, c in preset.h_images[i].terms.items())
+    yield ((0, 0),) * preset.sig.n, sign * _as_fraction(cal.h_shift[i])
+
+
+def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Mapping) -> dict:
+    """Scaled raw bracket minus the relation's linear part."""
     i, j = rel.i, rel.j
-    if rel.kind == "hh":
-        return super_bracket(H[i], H[j], 0, 0)
-    if rel.kind == "he":
-        coeff = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-        return super_bracket(H[i], E[j], 0, pe[j]) - coeff * E[j]
-    if rel.kind == "hf":
-        coeff = -(1 if i == j else 0) + (1 if i == j + 1 else 0)
-        return super_bracket(H[i], F[j], 0, pe[j]) - coeff * F[j]
-    if rel.kind == "ef":
-        res = super_bracket(E[i], F[j], pe[i], pe[j])
-        if i == j:
-            sign = -1 if i == p - 1 else 1
-            res = res - (H[i] - sign * H[i + 1])
-        return res
-    if rel.kind == "hen":
-        coeff = 1 if i == j else 0
-        return super_bracket(H[i], E[j], 0, pe[j]) - coeff * E[j]
-    if rel.kind == "hfn":
-        coeff = -1 if i == j else 0
-        return super_bracket(H[i], F[j], 0, pe[j]) - coeff * F[j]
-    if rel.kind == "enfn":
-        return super_bracket(E[i], F[j], pe[i], pe[j]) - H[i]
-    if rel.kind == "efn":
-        return super_bracket(E[i], F[j], pe[i], pe[j])
-    if rel.kind == "enf":
-        return super_bracket(E[i], F[j], pe[i], pe[j])
-    raise ValueError(f"unknown relation kind {rel.kind!r}")
+    kind = rel.kind
+    if kind == "hh":
+        scale, linear = Fraction(1), ()
+    elif kind in ("he", "hen", "hf", "hfn"):
+        # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j, negated for f_j (for the
+        # last osp_odd generator j = n - 1, so delta_i,j+1 vanishes)
+        if _OPERANDS[kind][1] == "e":
+            scale, img, sign = _as_fraction(cal.e_scale[j]), preset.e_images[j], 1
+        else:
+            scale, img, sign = _as_fraction(cal.f_scale[j]), preset.f_images[j], -1
+        coeff = sign * ((i == j) - (i == j + 1)) * scale
+        linear = ((m, coeff * c) for m, c in img.terms.items()) if coeff else ()
+    else:
+        scale = _as_fraction(cal.e_scale[i]) * _as_fraction(cal.f_scale[j])
+        if kind == "enfn":
+            linear = _h_terms(preset, cal, i, 1)
+        elif kind == "ef" and i == j:
+            sign = -1 if i == preset.p - 1 else 1
+            linear = (*_h_terms(preset, cal, i, 1), *_h_terms(preset, cal, i + 1, -sign))
+        else:
+            linear = ()
+    acc = {m: scale * c for m, c in raw.items()} if scale else {}
+    return accumulate_terms(acc, ((m, -c) for m, c in linear))
 
 
 def check_relations(preset: LiePreset, scalings: Optional[Calibration] = None) -> ResidualReport:
     """Residual of every listed relation on the scaled images."""
     cal = scalings or preset.scalings
-    E, F, H = _scaled_images(preset, cal)
     results = []
-    for rel in preset.relations:
-        res = _relation_residual(preset, rel, E, F, H)
-        results.append(RelationResult(rel.label, res.is_zero, res))
+    for rel, raw in zip(preset.relations, preset.raw_brackets):
+        terms = _residual_terms(preset, cal, rel, raw)
+        results.append(RelationResult(rel.label, not terms, SuperElement._raw(preset.sig, terms)))
     return ResidualReport(results)
 
 
@@ -338,29 +393,30 @@ def check_triangle(preset: LiePreset, scalings: Optional[Calibration] = None) ->
     by the differential-operator image of h_i.
     """
     cal = scalings or preset.scalings
-    E, _, H = _scaled_images(preset, cal)
     sig = preset.sig
+    one = SuperElement.one(sig)
     x_matches = []
     for c in range(preset.zeta.m):
-        x_matches.append(_phi_generator(preset.zeta, c, "X") == E[c])
+        scaled = cal.e_scale[c] * preset.e_images[c]
+        x_matches.append(_phi_generator(preset.zeta, c, "X") == scaled)
     h_offsets: list[Optional[Fraction]] = []
     for i in range(preset.n):
         lam = sig.lam(i, i)
         ring_side = lam * (
             BaseRingElement.u(sig, i) - BaseRingElement.one(sig)
         )
-        diff = H[i] - iota_embed(ring_side)
+        diff = preset.h_images[i] + cal.h_shift[i] * one - iota_embed(ring_side)
         h_offsets.append(diff.constant_value())
     return TriangleReport(x_matches, h_offsets, cal.expected_h_offsets)
 
 
-def _scalar_ratio(num: SuperElement, den: SuperElement) -> Optional[Fraction]:
-    """rho with num == rho * den, when one exists."""
-    if den.is_zero:
-        return Fraction(1) if num.is_zero else None
-    mono, c = next(iter(den.terms.items()))
-    rho = num.terms.get(mono, Fraction(0)) / c
-    return rho if num == rho * den else None
+def _scalar_ratio(num: Mapping, den: Mapping) -> Optional[Fraction]:
+    """rho with num == rho * den on coefficient maps, when one exists."""
+    if not den:
+        return Fraction(1) if not num else None
+    mono, c = next(iter(den.items()))
+    rho = Fraction(num.get(mono, 0), c)
+    return rho if num == ({m: rho * v for m, v in den.items()} if rho else {}) else None
 
 
 @dataclass
@@ -378,10 +434,9 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     shifts stay at zero unless verification fails.
     """
     ne, n = preset.ne, preset.n
-    pe = preset.e_parity
     e_scale = []
     for c in range(ne):
-        rho = _scalar_ratio(_phi_generator(preset.zeta, c, "X"), preset.e_images[c])
+        rho = _scalar_ratio(_phi_generator(preset.zeta, c, "X").terms, preset.e_images[c].terms)
         if rho is None or rho == 0:
             return CalibrationResult(
                 unit_calibration(ne, n), False,
@@ -389,19 +444,16 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
             )
         e_scale.append(rho)
     f_scale = [Fraction(1)] * ne
-    for rel in preset.relations:
-        if rel.kind == "ef" and rel.i == rel.j:
-            i = rel.i
-            raw = super_bracket(preset.e_images[i], preset.f_images[i], pe[i], pe[i])
+    for rel, raw in zip(preset.relations, preset.raw_brackets):
+        i = rel.i
+        if rel.kind == "ef" and i == rel.j:
             sign = -1 if i == preset.p - 1 else 1
             target = preset.h_images[i] - sign * preset.h_images[i + 1]
         elif rel.kind == "enfn":
-            i = rel.i
-            raw = super_bracket(preset.e_images[i], preset.f_images[i], pe[i], pe[i])
             target = preset.h_images[i]
         else:
             continue
-        rho = _scalar_ratio(target, raw)
+        rho = _scalar_ratio(target.terms, raw)
         if rho is None or rho == 0:
             return CalibrationResult(
                 unit_calibration(ne, n), False,
@@ -424,20 +476,48 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     return CalibrationResult(cal, True, "solved")
 
 
+def _fixture_value(entry: dict, family: str, key: str) -> Fraction:
+    """One exact fixture value: a JSON integer or a rational string."""
+    if key not in entry:
+        raise ValueError(f"{family}: missing key {key!r}")
+    value = entry[key]
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(
+        f"{family}: {key} must be an integer or a rational string like \"1/2\", got {value!r}"
+    )
+
+
 def load_calibration(preset: LiePreset, path: Optional[str] = None) -> Calibration:
-    """Frozen scale factors for a preset, from the packaged fixture or a file."""
+    """Frozen scale factors for a preset, from the packaged fixture or a file.
+
+    Values must be JSON integers or exact rational strings; anything else
+    (a float in particular) raises ValueError naming the key.
+    """
     if path is None:
         text = resources.files("superweyl").joinpath("data/lie_calibration.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)[preset.family]
+    data = json.loads(text)
+    entry = data.get(preset.family) if isinstance(data, dict) else None
+    if not isinstance(entry, dict):
+        raise ValueError(f"no calibration object for family {preset.family!r}")
+
+    def value(key: str) -> Fraction:
+        return _fixture_value(entry, preset.family, key)
+
     ne, n = preset.ne, preset.n
-    e_scale = [Fraction(data["e_scale"])] * ne
-    f_scale = [Fraction(data["f_scale"])] * ne
+    e_scale = [value("e_scale")] * ne
+    f_scale = [value("f_scale")] * ne
     if ne and preset.family == "osp_odd":
-        f_scale[-1] = Fraction(data["f_scale_last"])
-    h_shift = [Fraction(data["h_shift"])] * n
-    off = Fraction(data["h_offset_scale"])
+        f_scale[-1] = value("f_scale_last")
+    h_shift = [value("h_shift")] * n
+    off = value("h_offset_scale")
     expected = tuple(off * (1 if preset.sig.parity[i] == 0 else -1) for i in range(n))
     return Calibration(tuple(e_scale), tuple(f_scale), tuple(h_shift), expected)

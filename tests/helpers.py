@@ -12,11 +12,22 @@ mixed swap sign of the variant (+1 for minus, -1 for plus).
 identities by expanding both sides in all n base-ring variables through
 ``tau_apply`` and ``BaseRingElement`` products, the way ``consistency_check``
 did before it went row by row.
+
+``expanded_relations`` is the third: it builds every Chevalley relation
+residual from scaled ``SuperElement`` images and ``super_bracket``, the way
+``check_relations`` did before it scaled brackets cached per preset.
 """
 
 from fractions import Fraction
 
-from superweyl import GammaMatrix, Signature, SuperElement, tau_apply, validate_gamma
+from superweyl import (
+    GammaMatrix,
+    Signature,
+    SuperElement,
+    super_bracket,
+    tau_apply,
+    validate_gamma,
+)
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
 # A letter is coded 2*index + kind, with kind 0 for x and 1 for d.
@@ -245,4 +256,47 @@ def expanded_consistency(datum):
                 lhs = tau_apply(both, datum.t[j]) * datum.t[j]
                 rhs = tau_apply(si, datum.t[j]) * tau_apply(sk, datum.t[j])
                 out.append(("triple", (i, j, k), lhs == rhs))
+    return out
+
+
+def _relation_residual(preset, rel, E, F, H):
+    pe = preset.e_parity
+    i, j = rel.i, rel.j
+    if rel.kind == "hh":
+        return super_bracket(H[i], H[j], 0, 0)
+    if rel.kind == "he":
+        coeff = (1 if i == j else 0) - (1 if i == j + 1 else 0)
+        return super_bracket(H[i], E[j], 0, pe[j]) - coeff * E[j]
+    if rel.kind == "hf":
+        coeff = -(1 if i == j else 0) + (1 if i == j + 1 else 0)
+        return super_bracket(H[i], F[j], 0, pe[j]) - coeff * F[j]
+    if rel.kind == "ef":
+        res = super_bracket(E[i], F[j], pe[i], pe[j])
+        if i == j:
+            sign = -1 if i == preset.p - 1 else 1
+            res = res - (H[i] - sign * H[i + 1])
+        return res
+    if rel.kind == "hen":
+        coeff = 1 if i == j else 0
+        return super_bracket(H[i], E[j], 0, pe[j]) - coeff * E[j]
+    if rel.kind == "hfn":
+        coeff = -1 if i == j else 0
+        return super_bracket(H[i], F[j], 0, pe[j]) - coeff * F[j]
+    if rel.kind == "enfn":
+        return super_bracket(E[i], F[j], pe[i], pe[j]) - H[i]
+    if rel.kind in ("efn", "enf"):
+        return super_bracket(E[i], F[j], pe[i], pe[j])
+    raise ValueError(f"unknown relation kind {rel.kind!r}")
+
+
+def expanded_relations(preset, cal):
+    """(label, passed, residual) per relation, in ``check_relations`` order."""
+    E = [c * img for c, img in zip(cal.e_scale, preset.e_images)]
+    F = [c * img for c, img in zip(cal.f_scale, preset.f_images)]
+    one = SuperElement.one(preset.sig)
+    H = [img + s * one for s, img in zip(cal.h_shift, preset.h_images)]
+    out = []
+    for rel in preset.relations:
+        res = _relation_residual(preset, rel, E, F, H)
+        out.append((rel.label, res.is_zero, res))
     return out

@@ -393,3 +393,73 @@ def test_lie_check_golden(argv, code, lines, digest, tmp_path, capsys):
     if code:
         assert out.count("FAIL residual") == 4
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fixture_file(tmp_path, kind):
+    path = tmp_path / "fixtures.json"
+    if kind == "missing file":
+        return str(tmp_path / "absent.json")
+    if kind == "directory":
+        return str(tmp_path)
+    if kind == "malformed json":
+        path.write_text('{"gl": {"e_scale": "1",')
+        return str(path)
+    if kind == "missing family":
+        data = json.loads(Path(_fixture_copy(tmp_path, "gl", "e_scale", "1")).read_text())
+        del data["gl"]
+        path.write_text(json.dumps(data))
+        return str(path)
+    if kind == "missing key":
+        data = json.loads(Path(_fixture_copy(tmp_path, "gl", "e_scale", "1")).read_text())
+        del data["gl"]["h_shift"]
+        path.write_text(json.dumps(data))
+        return str(path)
+    if kind == "float value":
+        return _fixture_copy(tmp_path, "gl", "f_scale", 0.1)
+    if kind == "not a number":
+        return _fixture_copy(tmp_path, "gl", "h_offset_scale", "one half")
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing file", "cannot read fixture file"),
+    ("directory", "cannot read fixture file"),
+    ("malformed json", "parse error at line 1"),
+    ("missing family", "no calibration object for family 'gl'"),
+    ("missing key", "gl: missing key 'h_shift'"),
+    ("float value", "gl: f_scale must be an integer or a rational string"),
+    ("not a number", "gl: h_offset_scale must be an integer or a rational string"),
+])
+def test_bad_fixture_file_is_a_usage_error(kind, message, tmp_path, capsys):
+    path = _fixture_file(tmp_path, kind)
+    assert run(["lie", "check", "gl", "1", "1", "--fixtures", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_fixture_file_takes_ints_and_rational_strings(tmp_path, capsys):
+    assert run(["lie", "check", "gl", "1", "1"]) == 0
+    packaged = capsys.readouterr().out
+    path = _fixture_copy(tmp_path, "gl", "e_scale", 1)
+    assert run(["lie", "check", "gl", "1", "1", "--fixtures", path]) == 0
+    assert capsys.readouterr().out == packaged
+
+
+def test_undecodable_matrix_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"sign": "minus", "parity": [0], "gamma": [[1]], "note": "\xe9"}')
+    assert run(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: matrix file {path}: ")
+
+
+def test_word_degree_cap_is_a_resource_error(matrix_file, capsys):
+    path = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1000]]})
+    assert run(["eval", path, "-w", "Y1,Y1,X1,X1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: word degree 4000 exceeds the word-degree cap 2500\n"
+    )
+    assert run(["eval", path, "-w", "Y1,X1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 2 and out.startswith("degree = [0]\nimage = ")

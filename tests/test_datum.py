@@ -6,6 +6,7 @@ import pytest
 
 import superweyl.basering
 import superweyl.datum
+from superweyl.datum import MAX_WORD_DEGREE
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
@@ -443,3 +444,47 @@ def test_json_round_trip():
     }
     gm = gamma_from_dict(d)
     assert gm == EX_C
+
+
+def test_word_degree_cap_boundary():
+    # column degrees 1000, 250 and 1; letters are ordered so that each
+    # product contracts at most one many-term factor
+    sig = Signature("minus", (0, 1))
+    gm = GammaMatrix(sig, ((1000, -250, 0), (0, 0, 1)))
+    assert gm.column_degrees == (1000, 250, 1)
+    at_cap = [("Y", 1), ("X", 1), ("Y", 0), ("X", 0)]
+    graded = eval_word(gm, at_cap)
+    assert graded.degree == (0, 0, 0) and len(graded.image.terms) == 1001
+    assert str(graded.image)
+    for over in (at_cap + [("X", 2)], [("X", 2)] * (MAX_WORD_DEGREE + 1)):
+        with pytest.raises(ResourceCapError, match="word degree 2501 exceeds the word-degree cap"):
+            eval_word(gm, over)
+    assert eval_word(gm, [("X", 2)] * MAX_WORD_DEGREE).degree == (0, 0, MAX_WORD_DEGREE)
+
+
+def test_word_degree_cap_counts_every_row():
+    sig = Signature("minus", (0, 0))
+    gm = GammaMatrix(sig, ((-700, 5), (600, -5)))
+    assert gm.column_degrees == (1300, 10)
+    assert eval_word(gm, [("X", 1)] * 119 + [("Y", 0), ("X", 1)]).degree == (-1, 120)
+    with pytest.raises(ResourceCapError):
+        eval_word(gm, [("Y", 0), ("X", 0)])
+    # a generator is consumed once, and a bad letter still raises IndexError
+    assert eval_word(gm, iter([("X", 1)])).degree == (0, 1)
+    with pytest.raises(IndexError):
+        eval_word(gm, [("X", 2)])
+
+
+@pytest.mark.parametrize("k, word", [
+    (1000, "YX"), (1000, "XY"), (625, "YYYX"), (625, "XXXY"), (500, "YYYYX"),
+    (500, "XXYYY"),
+], ids=lambda v: str(v))
+def test_largest_admitted_one_by_one_words_render(k, word):
+    # the cap stops words short of coefficients too long to print; d^k x^k with
+    # k = 1000 holds the largest of these (2,593 digits)
+    for sign, parity in (("minus", 0), ("plus", 1)):
+        gm = GammaMatrix(Signature(sign, (parity,)), ((k,),))
+        letters = [(kind, 0) for kind in word]
+        assert sum(gm.column_degrees[0] for _ in letters) <= MAX_WORD_DEGREE
+        text = str(eval_word(gm, letters).image)
+        assert text

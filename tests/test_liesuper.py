@@ -1,9 +1,14 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from helpers import expanded_relations
 from superweyl import (
+    Calibration,
     Signature,
     SuperElement,
     calibrate,
@@ -19,6 +24,8 @@ from superweyl import (
     word_element,
     zeta_matrix,
 )
+from superweyl import liesuper
+from superweyl.cli import run
 
 ALL_COMBOS = [
     ("gl", p, q)
@@ -193,3 +200,140 @@ def test_lie_parity_matches_ambient():
         pre = preset(family, p, q)
         for img, parity in zip(pre.e_images, pre.e_parity):
             assert img.parity() == parity
+
+
+UP_TO_SIX = [
+    (family, p, q)
+    for family in ("gl", "osp_even", "osp_odd")
+    for p in range(7)
+    for q in range(7)
+    if p + q <= 6
+    and not (family == "gl" and p + q < 2)
+    and not (family == "osp_even" and q < 1)
+    and not (family == "osp_odd" and p + q < 1)
+]
+
+
+def _random_calibration(rng, pre):
+    def rational():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))
+
+    return Calibration(
+        tuple(rational() for _ in range(pre.ne)),
+        tuple(rational() for _ in range(pre.ne)),
+        tuple(rational() for _ in range(pre.n)),
+        tuple(rational() for _ in range(pre.n)),
+    )
+
+
+def _calibrations(pre, rng):
+    return {
+        "fixture": load_calibration(pre),
+        "solved": calibrate(pre).calibration,
+        "unit": pre.scalings,
+        "random": _random_calibration(rng, pre),
+    }
+
+
+def _assert_matches_oracle(report, expected):
+    assert len(report.results) == len(expected)
+    for result, (label, passed, residual) in zip(report.results, expected):
+        assert result.label == label
+        assert result.passed == passed
+        assert result.residual == residual
+        assert str(result.residual) == str(residual)
+
+
+def test_check_relations_matches_expanded_oracle():
+    rng = random.Random(811)
+    for family, p, q in UP_TO_SIX:
+        pre = preset(family, p, q)
+        for name, cal in _calibrations(pre, rng).items():
+            expected = expanded_relations(pre, cal)
+            _assert_matches_oracle(check_relations(pre, cal), expected)
+            if name == "random" and expected:
+                assert any(cal.h_shift) and not all(passed for _, passed, _ in expected)
+
+
+def test_check_relations_matches_oracle_on_fractional_images():
+    # a hand-built presentation whose images have non-integer coefficients and
+    # several terms, so the raw brackets carry exact fractions
+    rng = random.Random(823)
+    for family, p, q in [("gl", 1, 2), ("osp_even", 1, 1), ("osp_odd", 2, 1)]:
+        pre = preset(family, p, q)
+        sig = pre.sig
+        half, third = Fraction(1, 2), Fraction(2, 3)
+        hand = dataclasses.replace(
+            pre,
+            e_images=tuple(half * e + third * (e * e) for e in pre.e_images),
+            f_images=tuple(Fraction(-3, 4) * f for f in pre.f_images),
+            h_images=tuple(
+                third * h + Fraction(1, 5) * SuperElement.x(sig, 0) * SuperElement.d(sig, 0)
+                for h in pre.h_images
+            ),
+        )
+        assert any(c.denominator > 1 for img in hand.e_images for c in img.terms.values())
+        for cal in (hand.scalings, load_calibration(hand), _random_calibration(rng, hand)):
+            _assert_matches_oracle(check_relations(hand, cal), expanded_relations(hand, cal))
+
+
+def test_check_relations_and_calibrate_take_no_element_products(monkeypatch):
+    sizes = [("gl", 2, 2), ("osp_even", 1, 2), ("osp_odd", 2, 1)]
+    expected = []
+    for family, p, q in sizes:
+        pre = preset(family, p, q)
+        result = calibrate(pre)
+        expected.append((
+            check_relations(pre, load_calibration(pre)).to_dict(),
+            result.calibration, result.solved, result.message,
+            check_relations(pre, result.calibration).to_dict(),
+        ))
+    fresh = [preset(family, p, q) for family, p, q in sizes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element product taken")
+
+    monkeypatch.setattr(liesuper, "super_bracket", refuse)
+    monkeypatch.setattr(SuperElement, "__mul__", refuse)
+    for pre, want in zip(fresh, expected):
+        result = calibrate(pre)
+        assert (
+            check_relations(pre, load_calibration(pre)).to_dict(),
+            result.calibration, result.solved, result.message,
+            check_relations(pre, result.calibration).to_dict(),
+        ) == want
+
+
+def test_lie_check_builds_raw_brackets_once(monkeypatch, capsys):
+    built = []
+    raw_brackets = liesuper._raw_brackets
+
+    def counting(pre):
+        built.append(pre)
+        return raw_brackets(pre)
+
+    monkeypatch.setattr(liesuper, "_raw_brackets", counting)
+    assert run(["lie", "check", "gl", "2", "1", "--calibrate"]) == 0
+    assert len(built) == 1
+    assert run(["lie", "check", "osp_odd", "1", "2"]) == 0
+    assert len(built) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value, ok", [
+    (2, True), ("-3/4", True), ("5", True), (0.5, False), (True, False), ("1/0", False),
+    ("half", False), (None, False),
+])
+def test_load_calibration_takes_only_exact_values(value, ok, tmp_path):
+    data = json.loads(
+        resources.files("superweyl").joinpath("data/lie_calibration.json").read_text()
+    )
+    data["osp_odd"]["f_scale_last"] = value
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(data))
+    pre = preset("osp_odd", 1, 1)
+    if ok:
+        assert load_calibration(pre, str(path)).f_scale[-1] == Fraction(value)
+    else:
+        with pytest.raises(ValueError, match="osp_odd: f_scale_last must be an integer"):
+            load_calibration(pre, str(path))
