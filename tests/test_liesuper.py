@@ -246,6 +246,7 @@ def _assert_matches_oracle(report, expected):
 
 def test_check_relations_matches_expanded_oracle():
     rng = random.Random(811)
+    assert len(UP_TO_SIX) == 73
     for family, p, q in UP_TO_SIX:
         pre = preset(family, p, q)
         for name, cal in _calibrations(pre, rng).items():
