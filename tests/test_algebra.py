@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -20,7 +21,15 @@ from superweyl import (
     scalar_mul,
     word_element,
 )
-from helpers import act, random_element, random_homogeneous, random_signature, random_word, sample_basis
+from helpers import (
+    act,
+    random_element,
+    random_homogeneous,
+    random_monomial,
+    random_signature,
+    random_word,
+    sample_basis,
+)
 
 MINUS_11 = Signature("minus", (0, 1))
 MINUS_ODD2 = Signature("minus", (1, 1))
@@ -328,3 +337,42 @@ def test_star_closed_form_random_monomials():
 def test_from_mono_rejects_non_int_exponents(mono):
     with pytest.raises(ValueError):
         SuperElement.from_mono(Signature("minus", (0,)), mono)
+
+
+def _pin_coeff(rng):
+    """An int, a proper or negative fraction, or an integral Fraction."""
+    return rng.choice((
+        rng.randint(-5, 5),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        Fraction(rng.randint(-3, 3)),
+    ))
+
+
+def _pinned_elements():
+    rng = random.Random(4220)
+    for _ in range(40):
+        sig = random_signature(rng, max_n=3)
+        a = SuperElement(sig, [(random_monomial(sig, rng), _pin_coeff(rng))
+                               for _ in range(rng.randint(1, 4))])
+        # b repeats a's first term so that a - b cancels it
+        b = SuperElement(sig, list(a.terms.items())[:1] + [
+            (random_monomial(sig, rng), _pin_coeff(rng)) for _ in range(rng.randint(0, 2))
+        ])
+        const = SuperElement(sig, {((0, 0),) * sig.n: _pin_coeff(rng)})
+        yield from (a, a + const - b, const, a - a, a * b)
+
+
+# SHA-256 of str and repr of the elements above, one per line
+RENDER_PIN = "a034004c791e4213dd4d210fa0709ef9434de0731f9035b73832abdb1f8650c8"
+
+
+def test_render_pin():
+    elements = list(_pinned_elements())
+    lines = [text for el in elements for text in (str(el), repr(el))]
+    assert len(elements) == 200
+    assert {el.sig.sign for el in elements} == {"plus", "minus"}
+    assert any(el.sig.clifford_indices for el in elements)
+    assert any(len(el.sig.clifford_indices) < el.sig.n for el in elements)
+    assert "0" in lines and any("/" in s for s in lines) and any(s.startswith("-") for s in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RENDER_PIN

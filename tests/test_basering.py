@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from superweyl import (
 )
 from superweyl.basering import reduce as ring_reduce
 from superweyl.basering import tau_apply, tau_single
+from helpers import random_signature
 
 MINUS_11 = Signature("minus", (0, 1))  # index 0 Weyl-like, index 1 Clifford
 
@@ -231,3 +233,45 @@ def test_evaluate_keeps_exact_points():
     r = u(sig, 0) ** 2 - u(sig, 1)
     assert r.evaluate([3, 1]) == 8
     assert r.evaluate([Fraction(1, 2), Fraction(0)]) == Fraction(1, 4)
+
+
+def _pin_coeff(rng):
+    """An int, a proper or negative fraction, or an integral Fraction."""
+    return rng.choice((
+        rng.randint(-5, 5),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        Fraction(rng.randint(-3, 3)),
+    ))
+
+
+def _pinned_ring_elements():
+    rng = random.Random(4221)
+    for _ in range(40):
+        sig = random_signature(rng, max_n=3)
+
+        def exps():
+            return tuple(rng.randint(0, 3) for _ in range(sig.n))
+
+        a = BaseRingElement(sig, [(exps(), _pin_coeff(rng)) for _ in range(rng.randint(1, 4))])
+        # b repeats a's first term so that a - b cancels it
+        b = BaseRingElement(sig, list(a.terms.items())[:1] + [
+            (exps(), _pin_coeff(rng)) for _ in range(rng.randint(0, 2))
+        ])
+        c = BaseRingElement.const(sig, _pin_coeff(rng))
+        yield from (a, a + c - b, c, a - a, a * b)
+
+
+# SHA-256 of str and repr of the elements above, one per line
+RENDER_PIN = "e8c249ffec2f26e4b34d85964e0f25f2bdd2eab52f05d4b9737306772e37daae"
+
+
+def test_render_pin():
+    elements = list(_pinned_ring_elements())
+    lines = [text for el in elements for text in (str(el), repr(el))]
+    assert len(elements) == 200
+    assert {el.sig.sign for el in elements} == {"plus", "minus"}
+    assert any(el.sig.clifford_indices for el in elements)
+    assert any(len(el.sig.clifford_indices) < el.sig.n for el in elements)
+    assert "0" in lines and any("/" in s for s in lines) and any(s.startswith("-") for s in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RENDER_PIN
