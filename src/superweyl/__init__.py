@@ -3,6 +3,7 @@
 The package is organized around one signature type and five layers:
 
 - ``algebra``: normal-form arithmetic in the superalgebra (SuperElement)
+  and the sparse exact-combination core it shares with the base ring
 - ``basering``: the degree-zero polynomial ring, its shift automorphisms,
   and the two bridges (iota_embed, project_zero)
 - ``datum``: integer-matrix validation and the derived (t, sigma, mu) data
@@ -18,13 +19,9 @@ from .algebra import (
     SuperElement,
     SuperMonomial,
     degree_of,
-    elem_add,
-    elem_mul,
     involution,
     mono_mul,
     power_gen,
-    render_element,
-    scalar_mul,
     word_element,
 )
 from .basering import (
@@ -32,7 +29,6 @@ from .basering import (
     equals,
     iota_embed,
     project_zero,
-    render_ring_element,
     tau_apply,
 )
 from .datum import (
@@ -107,8 +103,6 @@ __all__ = [
     "derive_datum",
     "derive_mu",
     "derive_t",
-    "elem_add",
-    "elem_mul",
     "enumerate_support",
     "equals",
     "eval_word",
@@ -128,9 +122,6 @@ __all__ = [
     "power_gen",
     "preset",
     "project_zero",
-    "render_element",
-    "render_ring_element",
-    "scalar_mul",
     "super_bracket",
     "tau_apply",
     "validate_gamma",

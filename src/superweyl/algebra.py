@@ -30,8 +30,12 @@ terms.  A word is the product of its maximal runs already in normal order,
 and the involution maps a monomial to one monomial times a sign.
 
 The normal form is unique, so equality of elements is structural
-equality of their sparse coefficient maps.  All values are immutable and
-all operations are pure functions.
+equality of their sparse coefficient maps.  Coefficients are exact: ints,
+or Fractions where a denominator is needed, compared by value (``{m: 1}``
+equals ``{m: Fraction(1)}``); ``_exact`` is the one check that admits them.
+``SparseElement`` holds the linear-combination code that does not depend on
+the basis and is shared with the base ring's ``BaseRingElement``.  All
+values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -242,36 +246,154 @@ def power_gen(sig: Signature, j: int, k: int) -> SuperMonomial:
     return tuple(pairs)
 
 
-class SuperElement:
-    """Sparse exact-rational combination of normal-ordered monomials."""
+def _exact(c):
+    """The coefficient rule: an int stays an int (a bool becomes 0 or 1) and a
+    Fraction stays a Fraction; anything else raises TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
+
+
+class SparseElement:
+    """Immutable sparse exact linear combination of basis keys, in one signature.
+
+    ``terms`` maps basis keys to nonzero int or Fraction coefficients.  A
+    subclass fixes its basis through four hooks: ``_check_key`` (validate and
+    normalize a key), ``_unit_key`` (the key of 1), ``_sort_key`` (render
+    order) and ``_body`` (a key's text, empty for the unit), and defines its
+    own product.
+    """
 
     __slots__ = ("sig", "terms")
 
     def __init__(self, sig: Signature, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        exact = ((mono, _as_fraction(c)) for mono, c in items)
-        cleaned = accumulate_terms({}, ((_check_mono(sig, m), c) for m, c in exact if c))
+        exact = ((key, _exact(c)) for key, c in items)
+        check = self._check_key
+        cleaned = accumulate_terms({}, ((check(sig, key), c) for key, c in exact if c))
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def _raw(cls, sig: Signature, terms: dict) -> "SuperElement":
-        # internal fast path: terms already canonical (no zeros, valid monomials)
+    def _raw(cls, sig: Signature, terms: dict):
+        # internal fast path: terms already canonical (no zeros, valid keys)
         obj = object.__new__(cls)
         object.__setattr__(obj, "sig", sig)
         object.__setattr__(obj, "terms", terms)
         return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError("SuperElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, sig: Signature) -> "SuperElement":
+    def zero(cls, sig: Signature):
         return cls._raw(sig, {})
 
     @classmethod
-    def one(cls, sig: Signature) -> "SuperElement":
-        return cls._raw(sig, {((0, 0),) * sig.n: Fraction(1)})
+    def one(cls, sig: Signature):
+        return cls._raw(sig, {cls._unit_key(sig): 1})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _require_same_sig(self, other):
+        if self.sig != other.sig:
+            raise SignatureMismatchError("operands live in different signatures")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.sig == other.sig and self.terms == other.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_sig(other)
+        return self._raw(self.sig, accumulate_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._raw(self.sig, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
+        return NotImplemented
+
+    def _scaled(self, c):
+        c = _exact(c)
+        if not c:
+            return self.zero(self.sig)
+        return self._raw(self.sig, {key: c * v for key, v in self.terms.items()})
+
+    def constant_value(self):
+        """The scalar c when the element equals c*1, otherwise None."""
+        if not self.terms:
+            return 0
+        if len(self.terms) != 1:
+            return None
+        key, c = next(iter(self.terms.items()))
+        return c if key == self._unit_key(self.sig) else None
+
+    # Terms are printed in ``_sort_key`` order, so output is deterministic;
+    # a coefficient of magnitude 1 is left off, a fraction is parenthesized.
+    def __str__(self) -> str:
+        pieces = []
+        for key, c in sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0])):
+            mag = -c if c < 0 else c
+            body = self._body(key)
+            if not body:
+                term = str(mag)
+            elif mag == 1:
+                term = body
+            elif mag.denominator == 1:
+                term = f"{mag}*{body}"
+            else:
+                term = f"({mag})*{body}"
+            pieces.append((" - " if c < 0 else " + ") + term)
+        text = "".join(pieces)
+        if not text:
+            return "0"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    __hash__ = None
+
+
+def _mono_str(mono: SuperMonomial) -> str:
+    parts = []
+    for i, (a, b) in enumerate(mono):
+        if a:
+            parts.append(f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}")
+        if b:
+            parts.append(f"d{i + 1}" if b == 1 else f"d{i + 1}^{b}")
+    return "*".join(parts)
+
+
+class SuperElement(SparseElement):
+    """Sparse exact combination of normal-ordered monomials."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_check_mono)
+    _body = staticmethod(_mono_str)
+
+    @staticmethod
+    def _unit_key(sig: Signature) -> SuperMonomial:
+        return ((0, 0),) * sig.n
+
+    @staticmethod
+    def _sort_key(mono: SuperMonomial):
+        return mono_degree(mono), tuple(v for ab in mono for v in ab)
 
     @classmethod
     def from_mono(cls, sig: Signature, mono, coeff=1) -> "SuperElement":
@@ -285,39 +407,11 @@ class SuperElement:
     def d(cls, sig: Signature, i: int) -> "SuperElement":
         return cls.from_mono(sig, power_gen(sig, i, -1))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same_sig(self, other: "SuperElement"):
-        if self.sig != other.sig:
-            raise SignatureMismatchError("operands live in different signatures")
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        self._require_same_sig(other)
-        terms = accumulate_terms(dict(self.terms), other.terms.items())
-        return SuperElement._raw(self.sig, terms)
-
-    def __neg__(self):
-        return SuperElement._raw(self.sig, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, SuperElement):
             self._require_same_sig(other)
             sig = self.sig
-            acc: dict[SuperMonomial, Fraction] = {}
+            acc: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     c12 = c1 * c2
@@ -326,17 +420,6 @@ class SuperElement:
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scaled(other)
-        return NotImplemented
-
-    def _scaled(self, c) -> "SuperElement":
-        c = _as_fraction(c)
-        if not c:
-            return SuperElement.zero(self.sig)
-        return SuperElement._raw(self.sig, {m: c * v for m, v in self.terms.items()})
 
     def star(self) -> "SuperElement":
         """Involution: x_i <-> d_i with words reversed.
@@ -367,52 +450,12 @@ class SuperElement:
         parities = {mono_parity(self.sig, m) for m in self.terms}
         return parities.pop() if len(parities) == 1 else None
 
-    def constant_value(self):
-        """The scalar c when the element equals c*1, otherwise None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) != 1:
-            return None
-        mono, c = next(iter(self.terms.items()))
-        return c if all(a == 0 and b == 0 for a, b in mono) else None
-
-    def __str__(self) -> str:
-        return render_element(self)
-
-    def __repr__(self) -> str:
-        return f"SuperElement({self})"
-
-    __hash__ = None
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
-
-
-# Operation-style wrappers around the element arithmetic.
 
 def mono_mul(sig: Signature, m1, m2) -> SuperElement:
     """Normal form of the concatenation of two normal-ordered monomials."""
     m1 = _check_mono(sig, m1)
     m2 = _check_mono(sig, m2)
-    terms = {m: Fraction(c) for m, c in _mono_product(sig, m1, m2)}
-    return SuperElement._raw(sig, terms)
-
-
-def elem_mul(a: SuperElement, b: SuperElement) -> SuperElement:
-    return a * b
-
-
-def elem_add(a: SuperElement, b: SuperElement) -> SuperElement:
-    return a + b
-
-
-def scalar_mul(c, a: SuperElement) -> SuperElement:
-    return a._scaled(c)
+    return SuperElement._raw(sig, dict(_mono_product(sig, m1, m2)))
 
 
 def involution(a: SuperElement) -> SuperElement:
@@ -433,48 +476,4 @@ def word_element(sig: Signature, letters: Iterable[tuple[str, int]]) -> SuperEle
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for n={n}")
         codes.append(2 * i + (0 if kind == "x" else 1))
-    terms = {m: Fraction(c) for m, c in _word_terms(sig, codes).items()}
-    return SuperElement._raw(sig, terms)
-
-
-# Rendering.  Terms are sorted by (degree vector, flattened exponents) so
-# output is deterministic; the printed word is always the normal form.
-
-def _mono_str(mono: SuperMonomial) -> str:
-    parts = []
-    for i, (a, b) in enumerate(mono):
-        if a:
-            parts.append(f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}")
-        if b:
-            parts.append(f"d{i + 1}" if b == 1 else f"d{i + 1}^{b}")
-    return "*".join(parts)
-
-
-def _coeff_str(c: Fraction, has_body: bool) -> str:
-    if not has_body:
-        return str(c)
-    if c == 1:
-        return ""
-    if c.denominator == 1:
-        return f"{c}*"
-    return f"({c})*"
-
-
-def render_element(a: SuperElement) -> str:
-    if not a.terms:
-        return "0"
-    ordered = sorted(
-        a.terms.items(),
-        key=lambda kv: (mono_degree(kv[0]), tuple(v for ab in kv[0] for v in ab)),
-    )
-    pieces = []
-    for k, (mono, coeff) in enumerate(ordered):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        body = _mono_str(mono)
-        term = _coeff_str(mag, bool(body)) + body if body else str(mag)
-        if k == 0:
-            pieces.append(("-" if neg else "") + term)
-        else:
-            pieces.append((" - " if neg else " + ") + term)
-    return "".join(pieces)
+    return SuperElement._raw(sig, _word_terms(sig, codes))

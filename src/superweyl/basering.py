@@ -19,152 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import (
-    Signature, SuperElement, _as_fraction, _word_terms, accumulate_terms, int_tuple,
+    _SCALARS, Signature, SparseElement, SuperElement, _exact, _word_terms, accumulate_terms,
+    int_tuple,
 )
-from .errors import SignatureMismatchError
-
-_SCALARS = (int, Fraction)
-
-
-class BaseRingElement:
-    """Reduced polynomial in u_1..u_n; Clifford exponents are capped at 1."""
-
-    __slots__ = ("sig", "terms")
-
-    def __init__(self, sig: Signature, terms=()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        exact = ((exps, _as_fraction(c)) for exps, c in items)
-        cleaned = accumulate_terms({}, ((_check_exps(sig, e), c) for e, c in exact if c))
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "terms", cleaned)
-
-    @classmethod
-    def _raw(cls, sig, terms) -> "BaseRingElement":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "sig", sig)
-        object.__setattr__(obj, "terms", terms)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BaseRingElement is immutable")
-
-    @classmethod
-    def zero(cls, sig: Signature) -> "BaseRingElement":
-        return cls._raw(sig, {})
-
-    @classmethod
-    def one(cls, sig: Signature) -> "BaseRingElement":
-        return cls.const(sig, 1)
-
-    @classmethod
-    def const(cls, sig: Signature, c) -> "BaseRingElement":
-        c = _as_fraction(c)
-        if not c:
-            return cls.zero(sig)
-        return cls._raw(sig, {(0,) * sig.n: c})
-
-    @classmethod
-    def u(cls, sig: Signature, i: int) -> "BaseRingElement":
-        if not 0 <= i < sig.n:
-            raise IndexError(f"index {i} out of range for n={sig.n}")
-        exps = tuple(1 if j == i else 0 for j in range(sig.n))
-        return cls._raw(sig, {exps: Fraction(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same_sig(self, other):
-        if self.sig != other.sig:
-            raise SignatureMismatchError("operands live in different signatures")
-
-    def __eq__(self, other):
-        if not isinstance(other, BaseRingElement):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, BaseRingElement):
-            return NotImplemented
-        self._require_same_sig(other)
-        terms = accumulate_terms(dict(self.terms), other.terms.items())
-        return BaseRingElement._raw(self.sig, terms)
-
-    def __neg__(self):
-        return BaseRingElement._raw(self.sig, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BaseRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, BaseRingElement):
-            self._require_same_sig(other)
-            sig = self.sig
-            acc: dict[tuple[int, ...], Fraction] = {}
-            capped = [sig.is_clifford(i) for i in range(sig.n)]
-            for e1, c1 in self.terms.items():
-                accumulate_terms(acc, (
-                    (tuple(1 if cap and a + b else a + b for a, b, cap in zip(e1, e2, capped)),
-                     c1 * c2)
-                    for e2, c2 in other.terms.items()
-                ))
-            return BaseRingElement._raw(sig, acc)
-        if isinstance(other, _SCALARS):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scaled(other)
-        return NotImplemented
-
-    def _scaled(self, c):
-        c = Fraction(c)
-        if not c:
-            return BaseRingElement.zero(self.sig)
-        return BaseRingElement._raw(self.sig, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined in the base ring")
-        out = BaseRingElement.one(self.sig)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        """Evaluate at a point; independent of reduction on {0,1} Clifford values."""
-        if len(values) != self.sig.n:
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(values, exps):
-                term *= _as_fraction(v) ** e
-            total += term
-        return total
-
-    def constant_value(self):
-        """The scalar c when the element equals c*1, otherwise None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) != 1:
-            return None
-        exps, c = next(iter(self.terms.items()))
-        return c if not any(exps) else None
-
-    def __str__(self) -> str:
-        return render_ring_element(self)
-
-    def __repr__(self) -> str:
-        return f"BaseRingElement({self})"
-
-    __hash__ = None
 
 
 def _check_exps(sig: Signature, exps) -> tuple[int, ...]:
@@ -177,20 +37,85 @@ def _check_exps(sig: Signature, exps) -> tuple[int, ...]:
     return tuple(1 if e and sig.is_clifford(i) else e for i, e in enumerate(exps))
 
 
-def reduce(sig: Signature, terms) -> BaseRingElement:
-    """Reduced form of a raw exponent-map polynomial."""
-    return BaseRingElement(sig, terms)
+class BaseRingElement(SparseElement):
+    """Reduced polynomial in u_1..u_n; Clifford exponents are capped at 1."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_check_exps)
+
+    @staticmethod
+    def _unit_key(sig: Signature) -> tuple[int, ...]:
+        return (0,) * sig.n
+
+    @staticmethod
+    def _sort_key(exps: tuple[int, ...]):
+        return sum(exps), exps
+
+    @staticmethod
+    def _body(exps: tuple[int, ...]) -> str:
+        return "*".join(f"u{i + 1}" if e == 1 else f"u{i + 1}^{e}" for i, e in enumerate(exps) if e)
+
+    @classmethod
+    def const(cls, sig: Signature, c) -> "BaseRingElement":
+        c = _exact(c)
+        if not c:
+            return cls.zero(sig)
+        return cls._raw(sig, {cls._unit_key(sig): c})
+
+    @classmethod
+    def u(cls, sig: Signature, i: int) -> "BaseRingElement":
+        if not 0 <= i < sig.n:
+            raise IndexError(f"index {i} out of range for n={sig.n}")
+        exps = tuple(1 if j == i else 0 for j in range(sig.n))
+        return cls._raw(sig, {exps: 1})
+
+    def __mul__(self, other):
+        if isinstance(other, BaseRingElement):
+            self._require_same_sig(other)
+            sig = self.sig
+            acc: dict = {}
+            capped = [sig.is_clifford(i) for i in range(sig.n)]
+            for e1, c1 in self.terms.items():
+                accumulate_terms(acc, (
+                    (tuple(1 if cap and a + b else a + b for a, b, cap in zip(e1, e2, capped)),
+                     c1 * c2)
+                    for e2, c2 in other.terms.items()
+                ))
+            return BaseRingElement._raw(sig, acc)
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers are not defined in the base ring")
+        out = BaseRingElement.one(self.sig)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def evaluate(self, values: Sequence):
+        """Evaluate at a point; independent of reduction on {0,1} Clifford values."""
+        if len(values) != self.sig.n:
+            raise ValueError("wrong number of values")
+        total = 0
+        for exps, c in self.terms.items():
+            term = c
+            for v, e in zip(values, exps):
+                term *= _exact(v) ** e
+            total += term
+        return total
 
 
 def equals(a: BaseRingElement, b: BaseRingElement) -> bool:
-    if a.sig != b.sig:
-        raise SignatureMismatchError("operands live in different signatures")
+    a._require_same_sig(b)
     return a.terms == b.terms
 
 
 def tau_single(sig: Signature, i: int, k: int) -> BaseRingElement:
     """Image of u_i under the k-th power of tau_i, in closed form."""
-    _as_fraction(k)  # refuses a float or string shift on either kind of index
+    _exact(k)  # refuses a float or string shift on either kind of index
     int_tuple((k,), "shifts")  # and a Fraction one, as tau_apply does
     u = BaseRingElement.u(sig, i)
     if k == 0:
@@ -208,7 +133,7 @@ def tau_apply(exponents: Sequence[int], r: BaseRingElement) -> BaseRingElement:
         raise ValueError(f"exponent vector has length {len(e)}, expected {sig.n}")
     images = [tau_single(sig, i, e[i]) if e[i] else None for i in range(sig.n)]
     powers: dict[tuple[int, int], BaseRingElement] = {}  # (i, d) -> images[i] ** d
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict = {}
     for exps, coeff in r.terms.items():
         untouched = tuple(0 if images[i] and d else d for i, d in enumerate(exps))
         term = BaseRingElement._raw(sig, {untouched: coeff})
@@ -234,7 +159,8 @@ def iota_embed(r: BaseRingElement) -> SuperElement:
 def project_zero(a: SuperElement) -> BaseRingElement:
     """Degree-zero component of a superalgebra element, written in the u_i.
 
-    Each block x_i^k d_i^k becomes the polynomial of ``xd_polynomial``;
+    Each block x_i^k d_i^k becomes the polynomial (u_i - 1)...(u_i - k)
+    (1 - u_i on a Clifford index) whose coefficients ``_xd_coeffs`` lists;
     per-index degree-zero blocks commute, so a monomial expands to the outer
     product of those integer coefficient lists.
     """
@@ -260,13 +186,15 @@ def _outer_product(factors) -> list[tuple[tuple[int, ...], int]]:
 def _scaled_sum(parts) -> dict:
     """Sum of coeff * expansion over (coeff, expansion) pairs, each expansion
     an iterable of (key, integer); the sums run in integers over the common
-    denominator, so each surviving key costs one Fraction."""
+    denominator, so each surviving key costs at most one Fraction."""
     parts = list(parts)
     den = lcm(*(coeff.denominator for coeff, _ in parts))
     acc = {}
     for coeff, expansion in parts:
         scale = coeff.numerator * (den // coeff.denominator)
         accumulate_terms(acc, ((key, scale * s) for key, s in expansion))
+    if den == 1:
+        return acc
     return {key: Fraction(v, den) for key, v in acc.items()}
 
 
@@ -279,36 +207,3 @@ def _xd_coeffs(clifford: bool, k: int) -> list[int]:
         # multiply by (u - s)
         coeffs = [lo - s * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
     return coeffs
-
-
-def _ring_mono_str(exps: tuple[int, ...]) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e:
-            parts.append(f"u{i + 1}" if e == 1 else f"u{i + 1}^{e}")
-    return "*".join(parts)
-
-
-def render_ring_element(r: BaseRingElement) -> str:
-    if not r.terms:
-        return "0"
-    ordered = sorted(r.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    pieces = []
-    for k, (exps, coeff) in enumerate(ordered):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        body = _ring_mono_str(exps)
-        if body:
-            if mag == 1:
-                term = body
-            elif mag.denominator == 1:
-                term = f"{mag}*{body}"
-            else:
-                term = f"({mag})*{body}"
-        else:
-            term = str(mag)
-        if k == 0:
-            pieces.append(("-" if neg else "") + term)
-        else:
-            pieces.append((" - " if neg else " + ") + term)
-    return "".join(pieces)

@@ -21,7 +21,7 @@ from .datum import (
     phi_generator,
     validate_gamma,
 )
-from .errors import InvalidGammaError, ResourceCapError, SuperweylError
+from .errors import ResourceCapError, SuperweylError
 from .liesuper import calibrate, check_relations, check_triangle, load_calibration, preset
 from .support import (
     DEFAULT_BOX_CAP,
@@ -240,14 +240,12 @@ def _cmd_lie_check(args) -> int:
         raise _UsageError(str(exc))
     if args.calibrate:
         result = calibrate(pre)
-        cal = result.calibration
-        solved = result.solved
-        message = result.message
+        cal, solved, message = result.calibration, result.solved, result.message
+        relations = result.report
     else:
         cal = _from_file("fixture", args.fixtures, lambda: load_calibration(pre, args.fixtures))
-        solved = True
-        message = "fixture"
-    relations = check_relations(pre, cal)
+        solved, message = True, "fixture"
+        relations = check_relations(pre, cal)
     triangle = check_triangle(pre, cal)
     ok = solved and relations.all_pass and triangle.passed
     payload = {
@@ -410,16 +408,10 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidGammaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except SuperweylError as exc:
+    except SuperweylError as exc:  # InvalidGammaError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

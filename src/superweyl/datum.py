@@ -17,11 +17,10 @@ their images together with the formal degree vector g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import Signature, SuperElement, int_tuple
+from .algebra import Signature, SuperElement, _word_terms, int_tuple
 from .basering import BaseRingElement, _outer_product, _xd_coeffs, project_zero
 from .errors import InvalidGammaError, ResourceCapError, SignatureMismatchError
 
@@ -202,7 +201,7 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
 def _derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     sig = gm.sig
     factors = (_row_factor(sig.is_clifford(r), k) for r, k in enumerate(gm.column(col)))
-    return BaseRingElement._raw(sig, {e: Fraction(c) for e, c in _outer_product(factors)})
+    return BaseRingElement._raw(sig, dict(_outer_product(factors)))
 
 
 def _row_factor(clifford: bool, k: int) -> list[int]:
@@ -435,11 +434,15 @@ def phi_generator(gm: GammaMatrix, col: int, kind: str = "X") -> SuperElement:
     return _phi_generator(gm, col, kind)
 
 
-def _phi_generator(gm: GammaMatrix, col: int, kind: str) -> SuperElement:
+def _check_letter(gm: GammaMatrix, col: int, kind: str) -> None:
     if kind not in ("X", "Y"):
         raise ValueError(f"kind must be 'X' or 'Y', got {kind!r}")
     if not 0 <= col < gm.m:
         raise IndexError(f"column {col} out of range for m={gm.m}")
+
+
+def _phi_generator(gm: GammaMatrix, col: int, kind: str) -> SuperElement:
+    _check_letter(gm, col, kind)
     pairs = tuple((k, 0) if k >= 0 else (0, -k) for k in gm.column(col))
     el = SuperElement.from_mono(gm.sig, pairs)
     return el if kind == "X" else el.star()
@@ -470,27 +473,38 @@ MAX_WORD_DEGREE = 2500
 def eval_word(gm: GammaMatrix, word: Iterable[tuple[str, int]]) -> GradedElement:
     """Ordered product of generator images for a word over {X_i, Y_i}.
 
+    Each letter is written as a word in the x and d generators: X_i is
+    x_r^k (k > 0) or d_r^|k| (k < 0) for the entries k of column i, rows
+    ascending, and Y_i is that word reversed with x and d swapped.  The
+    concatenation is normalized once, as ``word_element`` does.
+
     A zero image with a nonzero formal degree means the word vanishes in the
     graded algebra the matrix defines.  A word whose letters carry more than
     MAX_WORD_DEGREE generator exponents in all (the sum of |entries| of each
-    letter's column) raises ResourceCapError before any product is taken.
+    letter's column) raises ResourceCapError before any work is done.
     """
     require_valid(gm)
     word = list(word)
     degrees, m = gm.column_degrees, gm.m
-    # a letter out of range is left to _phi_generator's IndexError below
+    # a letter out of range is left to _check_letter's IndexError below
     total = sum(degrees[col] for _, col in word if 0 <= col < m)
     if total > MAX_WORD_DEGREE:
         raise ResourceCapError(
             f"word degree {total} exceeds the word-degree cap {MAX_WORD_DEGREE}"
         )
-    degree = [0] * gm.m
-    image = SuperElement.one(gm.sig)
+    degree = [0] * m
+    codes: list[int] = []
     for kind, col in word:
-        gen = _phi_generator(gm, col, kind)
-        degree[col] += 1 if kind == "X" else -1
-        image = image * gen
-    return GradedElement(tuple(degree), image)
+        _check_letter(gm, col, kind)
+        # letter code 2r for x_r and 2r + 1 for d_r, as in word_element
+        x_word = [2 * r + (k < 0) for r, k in enumerate(gm.column(col)) for _ in range(abs(k))]
+        if kind == "X":
+            codes += x_word
+            degree[col] += 1
+        else:
+            codes += [code ^ 1 for code in reversed(x_word)]
+            degree[col] -= 1
+    return GradedElement(tuple(degree), SuperElement._raw(gm.sig, _word_terms(gm.sig, codes)))
 
 
 def gradation_pair(a: GradedElement, b: GradedElement) -> BaseRingElement:

@@ -32,7 +32,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .algebra import Signature, SuperElement, _as_fraction, _mono_product, accumulate_terms
+from .algebra import Signature, SuperElement, _exact, _mono_product, accumulate_terms
 from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, _phi_generator, require_valid
 from .errors import SignatureMismatchError
@@ -268,10 +268,6 @@ _OPERANDS = {
 }
 
 
-def _integral(el: SuperElement) -> dict:
-    return {m: c.numerator if c.denominator == 1 else c for m, c in el.terms.items()}
-
-
 def _bracket_terms(sig: Signature, a: dict, b: dict, pa: int, pb: int) -> dict:
     """ab - (-1)^(pa*pb) ba on coefficient maps."""
     swap = 1 if pa & pb else -1
@@ -288,10 +284,10 @@ def _bracket_terms(sig: Signature, a: dict, b: dict, pa: int, pb: int) -> dict:
 def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
     one = ((0, 0),) * preset.sig.n
     images = {
-        "e": [_integral(img) for img in preset.e_images],
-        "f": [_integral(img) for img in preset.f_images],
+        "e": [img.terms for img in preset.e_images],
+        "f": [img.terms for img in preset.f_images],
         # the central constant of h_i brackets to zero
-        "h": [{m: c for m, c in _integral(img).items() if m != one} for img in preset.h_images],
+        "h": [{m: c for m, c in img.terms.items() if m != one} for img in preset.h_images],
     }
     parity = {"e": preset.e_parity, "f": preset.e_parity, "h": (0,) * preset.n}
     out = []
@@ -309,7 +305,7 @@ def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
 def _h_terms(preset: LiePreset, cal: Calibration, i: int, sign: int):
     """(monomial, coefficient) pairs of sign * (h_i + shift_i)."""
     yield from ((m, sign * c) for m, c in preset.h_images[i].terms.items())
-    yield ((0, 0),) * preset.sig.n, sign * _as_fraction(cal.h_shift[i])
+    yield ((0, 0),) * preset.sig.n, sign * _exact(cal.h_shift[i])
 
 
 def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Mapping) -> dict:
@@ -317,18 +313,18 @@ def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Map
     i, j = rel.i, rel.j
     kind = rel.kind
     if kind == "hh":
-        scale, linear = Fraction(1), ()
+        scale, linear = 1, ()
     elif kind in ("he", "hen", "hf", "hfn"):
         # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j, negated for f_j (for the
         # last osp_odd generator j = n - 1, so delta_i,j+1 vanishes)
         if _OPERANDS[kind][1] == "e":
-            scale, img, sign = _as_fraction(cal.e_scale[j]), preset.e_images[j], 1
+            scale, img, sign = _exact(cal.e_scale[j]), preset.e_images[j], 1
         else:
-            scale, img, sign = _as_fraction(cal.f_scale[j]), preset.f_images[j], -1
+            scale, img, sign = _exact(cal.f_scale[j]), preset.f_images[j], -1
         coeff = sign * ((i == j) - (i == j + 1)) * scale
         linear = ((m, coeff * c) for m, c in img.terms.items()) if coeff else ()
     else:
-        scale = _as_fraction(cal.e_scale[i]) * _as_fraction(cal.f_scale[j])
+        scale = _exact(cal.e_scale[i]) * _exact(cal.f_scale[j])
         if kind == "enfn":
             linear = _h_terms(preset, cal, i, 1)
         elif kind == "ef" and i == j:
@@ -424,6 +420,7 @@ class CalibrationResult:
     calibration: Calibration
     solved: bool
     message: str
+    report: ResidualReport  # check_relations on ``calibration``
 
 
 def calibrate(preset: LiePreset) -> CalibrationResult:
@@ -431,14 +428,19 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
 
     The raising scales come from the column-word comparison, the lowering
     scales from the diagonal e-f relations evaluated on raw images; h
-    shifts stay at zero unless verification fails.
+    shifts stay at zero unless verification fails.  Every result carries the
+    relation report of the calibration it returns.
     """
     ne, n = preset.ne, preset.n
+
+    def result(cal: Calibration, solved: bool, message: str) -> CalibrationResult:
+        return CalibrationResult(cal, solved, message, check_relations(preset, cal))
+
     e_scale = []
     for c in range(ne):
         rho = _scalar_ratio(_phi_generator(preset.zeta, c, "X").terms, preset.e_images[c].terms)
         if rho is None or rho == 0:
-            return CalibrationResult(
+            return result(
                 unit_calibration(ne, n), False,
                 f"column word {c + 1} is not a scalar multiple of the raising image",
             )
@@ -455,7 +457,7 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
             continue
         rho = _scalar_ratio(target.terms, raw)
         if rho is None or rho == 0:
-            return CalibrationResult(
+            return result(
                 unit_calibration(ne, n), False,
                 f"relation {rel.label} is not a scalar away from its target",
             )
@@ -464,7 +466,7 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     cal = Calibration(tuple(e_scale), tuple(f_scale), tuple(h_shift), (Fraction(0),) * n)
     triangle = check_triangle(preset, cal)
     if not triangle.offsets_constant:
-        return CalibrationResult(cal, False, "h comparison is not a central constant")
+        return result(cal, False, "h comparison is not a central constant")
     cal = Calibration(
         tuple(e_scale), tuple(f_scale), tuple(h_shift),
         tuple(triangle.h_offsets),
@@ -472,8 +474,8 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     report = check_relations(preset, cal)
     if not report.all_pass:
         labels = [r.label for r in report.failures()]
-        return CalibrationResult(cal, False, f"unresolved residuals: {labels}")
-    return CalibrationResult(cal, True, "solved")
+        return CalibrationResult(cal, False, f"unresolved residuals: {labels}", report)
+    return CalibrationResult(cal, True, "solved", report)
 
 
 def _fixture_value(entry: dict, family: str, key: str) -> Fraction:

@@ -16,6 +16,10 @@ did before it went row by row.
 ``expanded_relations`` is the third: it builds every Chevalley relation
 residual from scaled ``SuperElement`` images and ``super_bracket``, the way
 ``check_relations`` did before it scaled brackets cached per preset.
+
+``product_eval_word`` is the fourth: it multiplies a word's generator
+images letter by letter with ``SuperElement`` products, the way
+``eval_word`` did before it normalized the whole word at once.
 """
 
 from fractions import Fraction
@@ -24,6 +28,7 @@ from superweyl import (
     GammaMatrix,
     Signature,
     SuperElement,
+    phi_generator,
     super_bracket,
     tau_apply,
     validate_gamma,
@@ -300,3 +305,13 @@ def expanded_relations(preset, cal):
         res = _relation_residual(preset, rel, E, F, H)
         out.append((rel.label, res.is_zero, res))
     return out
+
+
+def product_eval_word(gm, word):
+    """(degree, image) of a word over {X_i, Y_i}, one generator image at a time."""
+    degree = [0] * gm.m
+    image = SuperElement.one(gm.sig)
+    for kind, col in word:
+        image = image * phi_generator(gm, col, kind)
+        degree[col] += 1 if kind == "X" else -1
+    return tuple(degree), image

@@ -1,11 +1,13 @@
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from superweyl import (
+    BaseRingElement,
     InhomogeneityError,
     NilpotencyError,
     Signature,
@@ -13,14 +15,13 @@ from superweyl import (
     SuperElement,
     UndefinedDegreeError,
     degree_of,
-    elem_add,
-    elem_mul,
     involution,
     mono_mul,
     power_gen,
-    scalar_mul,
     word_element,
 )
+from superweyl.algebra import SparseElement, _exact
+from superweyl.basering import tau_single
 from helpers import (
     act,
     random_element,
@@ -106,9 +107,9 @@ def test_mono_mul_interface():
 def test_elem_ring_basics():
     rng = random.Random(7)
     a = random_element(MINUS_11, rng)
-    assert elem_add(a, scalar_mul(-1, a)).is_zero
-    assert elem_mul(SuperElement.one(MINUS_11), a) == a
-    assert elem_mul(a, SuperElement.one(MINUS_11)) == a
+    assert (a + -1 * a).is_zero
+    assert SuperElement.one(MINUS_11) * a == a
+    assert a * SuperElement.one(MINUS_11) == a
 
 
 def test_clifford_square_root_of_one():
@@ -125,7 +126,7 @@ def test_signature_mismatch_rejected():
 
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
-        scalar_mul(0.5, x(MINUS_11, 0))
+        0.5 * x(MINUS_11, 0)
 
 
 def test_involution_generators():
@@ -171,14 +172,14 @@ def test_constructor_rejects_vanishing_monomial():
 
 def test_rendering():
     sig = MINUS_11
-    el = scalar_mul(Fraction(1, 2), SuperElement.one(sig)) + word_element(
+    el = Fraction(1, 2) * SuperElement.one(sig) + word_element(
         sig, [("x", 0), ("d", 0)]
     )
     assert str(el) == "1/2 + x1*d1"
     assert str(SuperElement.zero(sig)) == "0"
     assert str(-x(sig, 0) * x(sig, 0)) == "-x1^2"
     # ordering: degree vectors sort lexicographically, d-heavy terms first
-    el2 = scalar_mul(Fraction(3, 2), x(sig, 0)) - scalar_mul(2, d(sig, 1))
+    el2 = Fraction(3, 2) * x(sig, 0) - 2 * d(sig, 1)
     assert str(el2) == "-2*d2 + (3/2)*x1"
 
 
@@ -376,3 +377,89 @@ def test_render_pin():
     assert "0" in lines and any("/" in s for s in lines) and any(s.startswith("-") for s in lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == RENDER_PIN
+
+
+
+# The core shared by SuperElement and BaseRingElement.
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (-2, -2), (True, 1), (False, 0), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(4, 2), Fraction(2)),
+], ids=repr)
+def test_exact_keeps_ints_and_fractions(value, expected):
+    out = _exact(value)
+    assert out == expected and type(out) is type(expected)
+
+
+_ENTRY_POINTS = {
+    "SuperElement": lambda c: SuperElement(MINUS_11, {((1, 0), (0, 0)): c}),
+    "BaseRingElement": lambda c: BaseRingElement(MINUS_11, {(1, 0): c}),
+    "scalar * SuperElement": lambda c: c * x(MINUS_11, 0),
+    "SuperElement * scalar": lambda c: x(MINUS_11, 0) * c,
+    "scalar * BaseRingElement": lambda c: c * BaseRingElement.u(MINUS_11, 0),
+    "BaseRingElement * scalar": lambda c: BaseRingElement.u(MINUS_11, 0) * c,
+    "const": lambda c: BaseRingElement.const(MINUS_11, c),
+    "evaluate": lambda c: BaseRingElement.u(MINUS_11, 0).evaluate((c, 0)),
+    "tau_single Weyl": lambda c: tau_single(MINUS_11, 0, c),
+    "tau_single Clifford": lambda c: tau_single(MINUS_11, 1, c),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, "1", Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_inexact_scalars_refused_everywhere(entry, value):
+    with pytest.raises(TypeError):
+        _ENTRY_POINTS[entry](value)
+    with pytest.raises(TypeError, match="exact rationals"):
+        _exact(value)
+
+
+def test_integral_results_hold_ints():
+    sig = Signature("minus", (0,))
+    dx = word_element(sig, [("d", 0)] * 3 + [("x", 0)] * 3)
+    assert all(type(c) is int for c in dx.terms.values())
+    # d^3 x^3 = sum_k C(3,k)^2 k! x^(3-k) d^(3-k)
+    assert dx == SuperElement(sig, {
+        ((3, 3),): Fraction(1), ((2, 2),): Fraction(9), ((1, 1),): Fraction(18),
+        ((0, 0),): Fraction(6),
+    })
+    assert type(SuperElement.one(sig).constant_value()) is int
+
+
+def test_element_classes_never_compare_equal():
+    for sig in (MINUS_11, PLUS_1):
+        for make in ("zero", "one"):
+            a, r = getattr(SuperElement, make)(sig), getattr(BaseRingElement, make)(sig)
+            assert a != r and r != a
+            assert not (a == r or r == a)
+
+
+def test_immutability_error_names_the_class():
+    for el in (x(MINUS_11, 0), BaseRingElement.u(MINUS_11, 0)):
+        with pytest.raises(AttributeError, match=f"^{type(el).__name__} is immutable$"):
+            el.terms = {}
+
+
+def test_element_classes_share_one_core():
+    shared = {
+        "__add__", "__sub__", "__neg__", "__eq__", "__rmul__", "_scaled", "_raw",
+        "constant_value", "__str__", "__repr__",
+    }
+    for cls in (SuperElement, BaseRingElement):
+        assert issubclass(cls, SparseElement)
+        assert not shared & set(vars(cls))
+        # the benchmark's tracer wraps these through vars(cls)
+        assert "__mul__" in vars(cls)
+    assert "star" in vars(SuperElement)
+
+
+def test_package_all_is_clean():
+    import superweyl
+
+    names = superweyl.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(superweyl, name) is not None
+    namespace: dict = {}
+    exec("from superweyl import *", namespace)
+    assert set(names) <= set(namespace)

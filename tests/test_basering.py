@@ -14,7 +14,6 @@ from superweyl import (
     project_zero,
     word_element,
 )
-from superweyl.basering import reduce as ring_reduce
 from superweyl.basering import tau_apply, tau_single
 from helpers import random_signature
 
@@ -38,11 +37,11 @@ def random_ring_element(sig, rng, max_terms=3, max_exp=3):
 
 
 def test_reduce_idempotent_power():
-    assert ring_reduce(MINUS_11, {(0, 3): 1}) == u(MINUS_11, 1)
+    assert BaseRingElement(MINUS_11, {(0, 3): 1}) == u(MINUS_11, 1)
 
 
 def test_reduce_keeps_weyl_power():
-    el = ring_reduce(MINUS_11, {(2, 0): 1})
+    el = BaseRingElement(MINUS_11, {(2, 0): 1})
     assert el == u(MINUS_11, 0) * u(MINUS_11, 0)
     assert el.terms == {(2, 0): Fraction(1)}
 
@@ -102,7 +101,7 @@ def test_tau_preserves_idempotent_ideal():
 
 
 def test_equals():
-    assert equals(ring_reduce(MINUS_11, {(0, 2): 1}), u(MINUS_11, 1))
+    assert equals(BaseRingElement(MINUS_11, {(0, 2): 1}), u(MINUS_11, 1))
     assert not equals(u(MINUS_11, 0), u(MINUS_11, 0) - const(MINUS_11, 1))
     with pytest.raises(SignatureMismatchError):
         equals(u(MINUS_11, 0), u(Signature("plus", (0, 1)), 0))
@@ -275,3 +274,13 @@ def test_render_pin():
     assert "0" in lines and any("/" in s for s in lines) and any(s.startswith("-") for s in lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == RENDER_PIN
+
+
+def test_iota_embed_of_an_integer_polynomial_holds_ints():
+    sig = Signature("plus", (0, 1))
+    r = BaseRingElement(sig, {(2, 1): 3, (1, 0): -2, (0, 0): 5})
+    embedded = iota_embed(r)
+    assert all(type(c) is int for c in embedded.terms.values())
+    as_fractions = BaseRingElement(sig, {e: Fraction(c) for e, c in r.terms.items()})
+    assert iota_embed(as_fractions) == embedded
+    assert project_zero(embedded) == r

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import superweyl.cli
 import superweyl.datum
+import superweyl.liesuper
 from superweyl import gamma_to_dict, zeta_matrix
 from superweyl.cli import run
 
@@ -463,3 +465,24 @@ def test_word_degree_cap_is_a_resource_error(matrix_file, capsys):
     assert run(["eval", path, "-w", "Y1,X1"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 2 and out.startswith("degree = [0]\nimage = ")
+
+
+def test_lie_check_calibrate_checks_relations_once(monkeypatch, capsys):
+    calls = []
+    check_relations = superweyl.liesuper.check_relations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check_relations(*args, **kwargs)
+
+    monkeypatch.setattr(superweyl.liesuper, "check_relations", counting)
+    monkeypatch.setattr(superweyl.cli, "check_relations", counting)
+    for argv in (
+        ["lie", "check", "gl", "3", "2", "--calibrate"],
+        ["--format", "json", "lie", "check", "osp_odd", "2", "2", "--calibrate"],
+        ["lie", "check", "osp_even", "1", "3", "--calibrate"],
+        ["lie", "check", "osp_even", "1", "3"],
+    ):
+        calls.clear()
+        assert run(argv) == 0
+        assert len(calls) == 1

@@ -35,7 +35,12 @@ from superweyl import (
     word_element,
     zeta_matrix,
 )
-from helpers import bidiagonal_matrix, expanded_consistency, random_valid_gamma
+from helpers import (
+    bidiagonal_matrix,
+    expanded_consistency,
+    product_eval_word,
+    random_valid_gamma,
+)
 
 EX_C = GammaMatrix(Signature("minus", (0, 1, 1)), ((1, 3, 0), (1, 0, -1), (1, -1, 1)))
 # valid, and its triple identities genuinely fail
@@ -488,3 +493,40 @@ def test_largest_admitted_one_by_one_words_render(k, word):
         assert sum(gm.column_degrees[0] for _ in letters) <= MAX_WORD_DEGREE
         text = str(eval_word(gm, letters).image)
         assert text
+
+
+def test_eval_word_matches_letter_by_letter_product():
+    rng = random.Random(1807)
+    clifford_rows = 0
+    for sign in ("minus", "plus"):
+        for _ in range(400):
+            gm = random_valid_gamma(rng, sign=sign)
+            clifford_rows += len(gm.sig.clifford_indices)
+            word = [(rng.choice("XY"), rng.randrange(gm.m)) for _ in range(rng.randint(0, 5))]
+            graded = eval_word(gm, word)
+            assert (graded.degree, graded.image) == product_eval_word(gm, word)
+    assert clifford_rows
+    gm = GammaMatrix(Signature("minus", (0,)), ((7,),))
+    assert (eval_word(gm, [("Y", 0), ("X", 0)]).image
+            == product_eval_word(gm, [("Y", 0), ("X", 0)])[1])
+
+
+def test_eval_word_takes_no_element_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("element product taken")
+
+    monkeypatch.setattr(SuperElement, "__mul__", refuse)
+    gm = GammaMatrix(Signature("minus", (0,)), ((625,),))
+    graded = eval_word(gm, [("Y", 0), ("Y", 0), ("X", 0), ("X", 0)])
+    # d^1250 x^1250
+    assert graded.degree == (0,) and len(graded.image.terms) == 1251
+    with pytest.raises(ValueError):
+        eval_word(gm, [("Z", 0)])
+    with pytest.raises(IndexError):
+        eval_word(gm, [("X", -1)])
+
+
+def test_derive_t_holds_int_coefficients():
+    t = derive_t(EX_C, 1)
+    assert t.terms and all(type(c) is int for c in t.terms.values())
+    assert t == BaseRingElement(EX_C.sig, {e: Fraction(c) for e, c in t.terms.items()})

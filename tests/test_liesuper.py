@@ -338,3 +338,23 @@ def test_load_calibration_takes_only_exact_values(value, ok, tmp_path):
     else:
         with pytest.raises(ValueError, match="osp_odd: f_scale_last must be an integer"):
             load_calibration(pre, str(path))
+
+
+def test_calibrate_reports_the_relations_of_what_it_returns():
+    pre = preset("gl", 2, 2)
+    one = SuperElement.one(pre.sig)
+    x2d2 = SuperElement.x(pre.sig, 1) * SuperElement.d(pre.sig, 1)
+    broken_e = dataclasses.replace(pre, e_images=(pre.e_images[0] + one,) + pre.e_images[1:])
+    broken_f = dataclasses.replace(pre, f_images=(pre.f_images[0] + x2d2,) + pre.f_images[1:])
+    # osp_odd solves to a non-unit lowering scale
+    odd = preset("osp_odd", 1, 2)
+    messages = []
+    for candidate in (pre, odd, broken_e, broken_f):
+        result = calibrate(candidate)
+        messages.append(result.message)
+        want = check_relations(candidate, result.calibration)
+        assert result.report.to_dict() == want.to_dict()
+    assert not check_relations(odd).all_pass
+    assert messages[:2] == ["solved", "solved"]
+    assert messages[2].startswith("column word 1 is not")
+    assert messages[3].startswith("relation [e1,f1] is not")
