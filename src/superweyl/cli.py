@@ -234,6 +234,8 @@ def _cmd_injectivity(args) -> int:
 
 
 def _cmd_lie_check(args) -> int:
+    if args.calibrate and args.fixtures is not None:
+        raise _UsageError("--fixtures cannot be combined with --calibrate")
     try:
         pre = preset(args.family, args.p, args.q)
     except ValueError as exc:
@@ -241,12 +243,11 @@ def _cmd_lie_check(args) -> int:
     if args.calibrate:
         result = calibrate(pre)
         cal, solved, message = result.calibration, result.solved, result.message
-        relations = result.report
+        relations, triangle = result.report, result.triangle
     else:
         cal = _from_file("fixture", args.fixtures, lambda: load_calibration(pre, args.fixtures))
         solved, message = True, "fixture"
-        relations = check_relations(pre, cal)
-    triangle = check_triangle(pre, cal)
+        relations, triangle = check_relations(pre, cal), check_triangle(pre, cal)
     ok = solved and relations.all_pass and triangle.passed
     payload = {
         "family": args.family,

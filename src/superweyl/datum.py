@@ -54,9 +54,6 @@ class GammaMatrix:
     def m(self) -> int:
         return len(self.rows[0])
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r][c]
-
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c] for row in self.rows)
 

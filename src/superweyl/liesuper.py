@@ -8,18 +8,22 @@ to x_n^2 (osp_even) or x_n (osp_odd); lowering images are involutions of
 the raising ones, and pi(h_i) = x_i d_i + c_i for a central constant c_i
 fixed by the variant.
 
-The bracket residual of every displayed relation is computed exactly on
-scaled images.  Each residual is bilinear in the images and the central
-constants and shifts of the h images bracket to zero, so the unscaled
-("raw") bracket of every relation depends on the preset alone: it is
-computed once per ``LiePreset``, on integer coefficient maps through the
-closed-form monomial product (exact fractions only where an image has
-them), and each calibration then costs one scalar multiple of every raw
-bracket minus its linear part.  Scale factors live in version-controlled
-fixtures; the ``calibrate`` solver re-derives them by exact scalar-ratio
-matching (the raising scale is pinned by the column-word comparison, the
-lowering scale by the diagonal e-f relation, read from the same raw
-brackets) and verifies the full relation list.
+The presentation is data: each ``Relation`` holds the two generators it
+brackets and the integer linear combination of generators the bracket
+equals, and ``_relations`` is the one place that writes these down.  The
+bracket residual of every relation is computed exactly on scaled images.
+Each residual is bilinear in the images and the central constants and
+shifts of the h images bracket to zero, so the unscaled ("raw") bracket of
+every relation depends on the preset alone: it is computed once per
+``LiePreset``, on integer coefficient maps through the closed-form monomial
+product (exact fractions only where an image has them), and each
+calibration then costs one scalar multiple of every raw bracket minus its
+right-hand side.  Scale factors live in version-controlled fixtures; the
+``calibrate`` solver re-derives them by exact scalar-ratio matching (the
+raising scale is pinned by the column-word comparison, the lowering scale by
+the diagonal e-f relations, read from the same raw brackets and right-hand
+sides) and returns the relation and triangle reports of its answer.  A
+preset of rank p + q above ``MAX_LIE_RANK`` raises ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .algebra import Signature, SuperElement, _exact, _mono_product, accumulate_terms
 from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, _phi_generator, require_valid
-from .errors import SignatureMismatchError
+from .errors import ResourceCapError, SignatureMismatchError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
+# Largest p + q a preset may have: checking a presentation costs about
+# (p + q)^3 steps (1.2 s at 64) and its column matrix holds (p + q)^2 entries.
+MAX_LIE_RANK = 64
 
 
 def super_bracket(a: SuperElement, b: SuperElement, pa: int, pb: int) -> SuperElement:
@@ -71,6 +78,8 @@ def _target_signature(family: str, p: int, q: int) -> Signature:
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     n = p + q
+    if n > MAX_LIE_RANK:
+        raise ResourceCapError(f"rank p + q = {n} exceeds the Lie rank cap {MAX_LIE_RANK}")
     if family == "gl" and n < 2:
         raise ValueError("the gl family needs p + q >= 2")
     if family == "osp_even" and q < 1:
@@ -83,12 +92,19 @@ def _target_signature(family: str, p: int, q: int) -> Signature:
     return Signature("minus", (1,) * p + (0,) * q)
 
 
-@dataclass(frozen=True)
-class Relation:
-    label: str
-    kind: str  # hh, he, hf, ef, hen, hfn, enfn, efn, enf
-    i: int = -1
-    j: int = -1
+class Relation(NamedTuple):
+    """``[left, right] = sum(coefficient * generator for generator, coefficient
+    in linear)``, each generator ``("e" | "f" | "h", index)`` and each listed
+    coefficient a nonzero int."""
+
+    left: tuple[str, int]
+    right: tuple[str, int]
+    linear: tuple[tuple[tuple[str, int], int], ...] = ()
+
+    @property
+    def label(self) -> str:
+        (a, i), (b, j) = self.left, self.right
+        return f"[{a}{i + 1},{b}{j + 1}]"
 
 
 @dataclass(frozen=True)
@@ -207,27 +223,38 @@ def preset(family: str, p: int, q: int) -> LiePreset:
 
 
 def _relations(family: str, n: int, p: int) -> tuple[Relation, ...]:
+    """The displayed presentation, in report order."""
+
+    def rel(left, right, *linear):
+        return Relation(left, right, tuple((g, c) for g, c in linear if c))
+
+    def h_weights(i, j):
+        # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j, negated for f_j
+        c = (i == j) - (i == j + 1)
+        return rel(("h", i), ("e", j), (("e", j), c)), rel(("h", i), ("f", j), (("f", j), -c))
+
     rels = []
     ngl = n - 1  # generators carried over from the gl presentation
     for i in range(n):
         for j in range(i + 1, n):
-            rels.append(Relation(f"[h{i + 1},h{j + 1}]", "hh", i, j))
+            rels.append(rel(("h", i), ("h", j)))
     for i in range(n):
         for j in range(ngl):
-            rels.append(Relation(f"[h{i + 1},e{j + 1}]", "he", i, j))
-            rels.append(Relation(f"[h{i + 1},f{j + 1}]", "hf", i, j))
+            rels.extend(h_weights(i, j))
     for i in range(ngl):
         for j in range(ngl):
-            rels.append(Relation(f"[e{i + 1},f{j + 1}]", "ef", i, j))
+            # [e_i, f_i] = h_i - h_{i+1}, or h_i + h_{i+1} across the odd/even seam
+            sign = -1 if i == p - 1 else 1
+            diagonal = ((("h", i), 1), (("h", i + 1), -sign)) if i == j else ()
+            rels.append(rel(("e", i), ("f", j), *diagonal))
     if family == "osp_odd":
         last = n - 1
         for i in range(n):
-            rels.append(Relation(f"[h{i + 1},e{n}]", "hen", i, last))
-            rels.append(Relation(f"[h{i + 1},f{n}]", "hfn", i, last))
-        rels.append(Relation(f"[e{n},f{n}]", "enfn", last, last))
+            rels.extend(h_weights(i, last))
+        rels.append(rel(("e", last), ("f", last), (("h", last), 1)))
         for i in range(ngl):
-            rels.append(Relation(f"[e{i + 1},f{n}]", "efn", i, last))
-            rels.append(Relation(f"[e{n},f{i + 1}]", "enf", last, i))
+            rels.append(rel(("e", i), ("f", last)))
+            rels.append(rel(("e", last), ("f", i)))
     return tuple(rels)
 
 
@@ -259,15 +286,6 @@ class ResidualReport:
         }
 
 
-# Operands of each relation kind's bracket: "h", "e" or "f" images, at the
-# relation's i and j.
-_OPERANDS = {
-    "hh": ("h", "h"), "he": ("h", "e"), "hf": ("h", "f"), "hen": ("h", "e"),
-    "hfn": ("h", "f"), "ef": ("e", "f"), "enfn": ("e", "f"), "efn": ("e", "f"),
-    "enf": ("e", "f"),
-}
-
-
 def _bracket_terms(sig: Signature, a: dict, b: dict, pa: int, pb: int) -> dict:
     """ab - (-1)^(pa*pb) ba on coefficient maps."""
     swap = 1 if pa & pb else -1
@@ -292,48 +310,38 @@ def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
     parity = {"e": preset.e_parity, "f": preset.e_parity, "h": (0,) * preset.n}
     out = []
     for rel in preset.relations:
-        if rel.kind not in _OPERANDS:
-            raise ValueError(f"unknown relation kind {rel.kind!r}")
-        left, right = _OPERANDS[rel.kind]
+        (a, i), (b, j) = rel.left, rel.right
         out.append(MappingProxyType(_bracket_terms(
-            preset.sig, images[left][rel.i], images[right][rel.j],
-            parity[left][rel.i], parity[right][rel.j],
+            preset.sig, images[a][i], images[b][j], parity[a][i], parity[b][j],
         )))
     return tuple(out)
 
 
-def _h_terms(preset: LiePreset, cal: Calibration, i: int, sign: int):
-    """(monomial, coefficient) pairs of sign * (h_i + shift_i)."""
-    yield from ((m, sign * c) for m, c in preset.h_images[i].terms.items())
-    yield ((0, 0),) * preset.sig.n, sign * _exact(cal.h_shift[i])
+def _scale(cal: Calibration, generator: tuple[str, int]):
+    """Scale factor of a generator's image; h images are not scaled."""
+    kind, k = generator
+    return 1 if kind == "h" else _exact((cal.e_scale if kind == "e" else cal.f_scale)[k])
+
+
+def _linear_terms(preset: LiePreset, cal: Calibration, linear, sign: int):
+    """(monomial, coefficient) pairs of sign times a right-hand side on the
+    scaled images, each h image counted with its shift."""
+    one = ((0, 0),) * preset.sig.n
+    for generator, coeff in linear:
+        kind, k = generator
+        c = sign * coeff * _scale(cal, generator)
+        yield from ((m, c * v) for m, v in getattr(preset, f"{kind}_images")[k].terms.items())
+        if kind == "h":
+            yield one, c * _exact(cal.h_shift[k])
 
 
 def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Mapping) -> dict:
-    """Scaled raw bracket minus the relation's linear part."""
-    i, j = rel.i, rel.j
-    kind = rel.kind
-    if kind == "hh":
-        scale, linear = 1, ()
-    elif kind in ("he", "hen", "hf", "hfn"):
-        # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j, negated for f_j (for the
-        # last osp_odd generator j = n - 1, so delta_i,j+1 vanishes)
-        if _OPERANDS[kind][1] == "e":
-            scale, img, sign = _exact(cal.e_scale[j]), preset.e_images[j], 1
-        else:
-            scale, img, sign = _exact(cal.f_scale[j]), preset.f_images[j], -1
-        coeff = sign * ((i == j) - (i == j + 1)) * scale
-        linear = ((m, coeff * c) for m, c in img.terms.items()) if coeff else ()
-    else:
-        scale = _exact(cal.e_scale[i]) * _exact(cal.f_scale[j])
-        if kind == "enfn":
-            linear = _h_terms(preset, cal, i, 1)
-        elif kind == "ef" and i == j:
-            sign = -1 if i == preset.p - 1 else 1
-            linear = (*_h_terms(preset, cal, i, 1), *_h_terms(preset, cal, i + 1, -sign))
-        else:
-            linear = ()
+    """Scaled raw bracket minus the relation's right-hand side."""
+    scale = _scale(cal, rel.left) * _scale(cal, rel.right)
     acc = {m: scale * c for m, c in raw.items()} if scale else {}
-    return accumulate_terms(acc, ((m, -c) for m, c in linear))
+    if rel.linear:
+        accumulate_terms(acc, _linear_terms(preset, cal, rel.linear, -1))
+    return acc
 
 
 def check_relations(preset: LiePreset, scalings: Optional[Calibration] = None) -> ResidualReport:
@@ -421,6 +429,7 @@ class CalibrationResult:
     solved: bool
     message: str
     report: ResidualReport  # check_relations on ``calibration``
+    triangle: TriangleReport  # check_triangle on ``calibration``
 
 
 def calibrate(preset: LiePreset) -> CalibrationResult:
@@ -428,54 +437,47 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
 
     The raising scales come from the column-word comparison, the lowering
     scales from the diagonal e-f relations evaluated on raw images; h
-    shifts stay at zero unless verification fails.  Every result carries the
-    relation report of the calibration it returns.
+    shifts stay at zero.  Every result carries the relation and triangle
+    reports of the calibration it returns.
     """
     ne, n = preset.ne, preset.n
+    unit = unit_calibration(ne, n)
 
-    def result(cal: Calibration, solved: bool, message: str) -> CalibrationResult:
-        return CalibrationResult(cal, solved, message, check_relations(preset, cal))
+    def failed(message: str) -> CalibrationResult:
+        report, triangle = check_relations(preset, unit), check_triangle(preset, unit)
+        return CalibrationResult(unit, False, message, report, triangle)
 
     e_scale = []
     for c in range(ne):
         rho = _scalar_ratio(_phi_generator(preset.zeta, c, "X").terms, preset.e_images[c].terms)
         if rho is None or rho == 0:
-            return result(
-                unit_calibration(ne, n), False,
-                f"column word {c + 1} is not a scalar multiple of the raising image",
-            )
+            return failed(f"column word {c + 1} is not a scalar multiple of the raising image")
         e_scale.append(rho)
     f_scale = [Fraction(1)] * ne
     for rel, raw in zip(preset.relations, preset.raw_brackets):
-        i = rel.i
-        if rel.kind == "ef" and i == rel.j:
-            sign = -1 if i == preset.p - 1 else 1
-            target = preset.h_images[i] - sign * preset.h_images[i + 1]
-        elif rel.kind == "enfn":
-            target = preset.h_images[i]
-        else:
+        kind, i = rel.left
+        if kind != "e" or rel.right != ("f", i):
             continue
-        rho = _scalar_ratio(target.terms, raw)
+        target = accumulate_terms({}, _linear_terms(preset, unit, rel.linear, 1))
+        rho = _scalar_ratio(target, raw)
         if rho is None or rho == 0:
-            return result(
-                unit_calibration(ne, n), False,
-                f"relation {rel.label} is not a scalar away from its target",
-            )
+            return failed(f"relation {rel.label} is not a scalar away from its target")
         f_scale[i] = rho / e_scale[i]
-    h_shift = [Fraction(0)] * n
-    cal = Calibration(tuple(e_scale), tuple(f_scale), tuple(h_shift), (Fraction(0),) * n)
+    zero = (Fraction(0),) * n
+    cal = Calibration(tuple(e_scale), tuple(f_scale), zero, zero)
     triangle = check_triangle(preset, cal)
     if not triangle.offsets_constant:
-        return result(cal, False, "h comparison is not a central constant")
-    cal = Calibration(
-        tuple(e_scale), tuple(f_scale), tuple(h_shift),
-        tuple(triangle.h_offsets),
-    )
+        return CalibrationResult(
+            cal, False, "h comparison is not a central constant",
+            check_relations(preset, cal), triangle,
+        )
+    # x_matches and h_offsets do not depend on the expected offsets
+    cal = Calibration(cal.e_scale, cal.f_scale, zero, tuple(triangle.h_offsets))
+    triangle = TriangleReport(triangle.x_matches, triangle.h_offsets, cal.expected_h_offsets)
     report = check_relations(preset, cal)
-    if not report.all_pass:
-        labels = [r.label for r in report.failures()]
-        return CalibrationResult(cal, False, f"unresolved residuals: {labels}", report)
-    return CalibrationResult(cal, True, "solved", report)
+    labels = [r.label for r in report.failures()]
+    message = f"unresolved residuals: {labels}" if labels else "solved"
+    return CalibrationResult(cal, not labels, message, report, triangle)
 
 
 def _fixture_value(entry: dict, family: str, key: str) -> Fraction:

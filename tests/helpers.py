@@ -15,7 +15,9 @@ did before it went row by row.
 
 ``expanded_relations`` is the third: it builds every Chevalley relation
 residual from scaled ``SuperElement`` images and ``super_bracket``, the way
-``check_relations`` did before it scaled brackets cached per preset.
+``check_relations`` did before it scaled brackets cached per preset.  It
+keeps its own list of relations, each named by a kind string and decoded
+case by case, so it does not read the library's relation table.
 
 ``product_eval_word`` is the fourth: it multiplies a word's generator
 images letter by letter with ``SuperElement`` products, the way
@@ -264,34 +266,59 @@ def expanded_consistency(datum):
     return out
 
 
-def _relation_residual(preset, rel, E, F, H):
+def _oracle_relations(family, n, p):
+    """(label, kind, i, j) per relation, in ``check_relations`` order."""
+    rels = []
+    ngl = n - 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            rels.append((f"[h{i + 1},h{j + 1}]", "hh", i, j))
+    for i in range(n):
+        for j in range(ngl):
+            rels.append((f"[h{i + 1},e{j + 1}]", "he", i, j))
+            rels.append((f"[h{i + 1},f{j + 1}]", "hf", i, j))
+    for i in range(ngl):
+        for j in range(ngl):
+            rels.append((f"[e{i + 1},f{j + 1}]", "ef", i, j))
+    if family == "osp_odd":
+        last = n - 1
+        for i in range(n):
+            rels.append((f"[h{i + 1},e{n}]", "hen", i, last))
+            rels.append((f"[h{i + 1},f{n}]", "hfn", i, last))
+        rels.append((f"[e{n},f{n}]", "enfn", last, last))
+        for i in range(ngl):
+            rels.append((f"[e{i + 1},f{n}]", "efn", i, last))
+            rels.append((f"[e{n},f{i + 1}]", "enf", last, i))
+    return rels
+
+
+def _relation_residual(preset, kind, i, j, E, F, H):
     pe = preset.e_parity
-    i, j = rel.i, rel.j
-    if rel.kind == "hh":
+    if kind == "hh":
         return super_bracket(H[i], H[j], 0, 0)
-    if rel.kind == "he":
+    if kind == "he":
         coeff = (1 if i == j else 0) - (1 if i == j + 1 else 0)
         return super_bracket(H[i], E[j], 0, pe[j]) - coeff * E[j]
-    if rel.kind == "hf":
+    if kind == "hf":
         coeff = -(1 if i == j else 0) + (1 if i == j + 1 else 0)
         return super_bracket(H[i], F[j], 0, pe[j]) - coeff * F[j]
-    if rel.kind == "ef":
+    if kind == "ef":
         res = super_bracket(E[i], F[j], pe[i], pe[j])
         if i == j:
             sign = -1 if i == preset.p - 1 else 1
             res = res - (H[i] - sign * H[i + 1])
         return res
-    if rel.kind == "hen":
+    if kind == "hen":
         coeff = 1 if i == j else 0
         return super_bracket(H[i], E[j], 0, pe[j]) - coeff * E[j]
-    if rel.kind == "hfn":
+    if kind == "hfn":
         coeff = -1 if i == j else 0
         return super_bracket(H[i], F[j], 0, pe[j]) - coeff * F[j]
-    if rel.kind == "enfn":
+    if kind == "enfn":
         return super_bracket(E[i], F[j], pe[i], pe[j]) - H[i]
-    if rel.kind in ("efn", "enf"):
+    if kind in ("efn", "enf"):
         return super_bracket(E[i], F[j], pe[i], pe[j])
-    raise ValueError(f"unknown relation kind {rel.kind!r}")
+    raise ValueError(f"unknown relation kind {kind!r}")
 
 
 def expanded_relations(preset, cal):
@@ -301,9 +328,9 @@ def expanded_relations(preset, cal):
     one = SuperElement.one(preset.sig)
     H = [img + s * one for s, img in zip(cal.h_shift, preset.h_images)]
     out = []
-    for rel in preset.relations:
-        res = _relation_residual(preset, rel, E, F, H)
-        out.append((rel.label, res.is_zero, res))
+    for label, kind, i, j in _oracle_relations(preset.family, preset.n, preset.p):
+        res = _relation_residual(preset, kind, i, j, E, F, H)
+        out.append((label, res.is_zero, res))
     return out
 
 

@@ -440,6 +440,15 @@ def test_bad_fixture_file_is_a_usage_error(kind, message, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+def test_calibrate_refuses_a_fixture_file(tmp_path, capsys):
+    path = _fixture_copy(tmp_path, "gl", "e_scale", 1)
+    for fixtures in (path, "/nonexistent.json"):
+        assert run(["lie", "check", "gl", "1", "1", "--calibrate", "--fixtures", fixtures]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --fixtures cannot be combined with --calibrate\n"
+        )
+
+
 def test_fixture_file_takes_ints_and_rational_strings(tmp_path, capsys):
     assert run(["lie", "check", "gl", "1", "1"]) == 0
     packaged = capsys.readouterr().out

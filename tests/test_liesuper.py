@@ -9,6 +9,7 @@ import pytest
 from helpers import expanded_relations
 from superweyl import (
     Calibration,
+    ResourceCapError,
     Signature,
     SuperElement,
     calibrate,
@@ -24,7 +25,7 @@ from superweyl import (
     word_element,
     zeta_matrix,
 )
-from superweyl import liesuper
+from superweyl import cli, liesuper
 from superweyl.cli import run
 
 ALL_COMBOS = [
@@ -346,15 +347,57 @@ def test_calibrate_reports_the_relations_of_what_it_returns():
     x2d2 = SuperElement.x(pre.sig, 1) * SuperElement.d(pre.sig, 1)
     broken_e = dataclasses.replace(pre, e_images=(pre.e_images[0] + one,) + pre.e_images[1:])
     broken_f = dataclasses.replace(pre, f_images=(pre.f_images[0] + x2d2,) + pre.f_images[1:])
+    # doubled h images leave x_i d_i in the h comparison
+    doubled_h = dataclasses.replace(pre, h_images=tuple(2 * h for h in pre.h_images))
+    # [h1,e1] = 0 is false
+    extra = dataclasses.replace(
+        pre, relations=pre.relations + (liesuper.Relation(("h", 0), ("e", 0)),)
+    )
     # osp_odd solves to a non-unit lowering scale
     odd = preset("osp_odd", 1, 2)
     messages = []
-    for candidate in (pre, odd, broken_e, broken_f):
+    for candidate in (pre, odd, broken_e, broken_f, doubled_h, extra):
         result = calibrate(candidate)
         messages.append(result.message)
         want = check_relations(candidate, result.calibration)
         assert result.report.to_dict() == want.to_dict()
+        want = check_triangle(candidate, result.calibration)
+        assert result.triangle.to_dict() == want.to_dict()
     assert not check_relations(odd).all_pass
     assert messages[:2] == ["solved", "solved"]
     assert messages[2].startswith("column word 1 is not")
     assert messages[3].startswith("relation [e1,f1] is not")
+    assert messages[4] == "h comparison is not a central constant"
+    assert messages[5] == "unresolved residuals: ['[h1,e1]']"
+
+
+def test_lie_check_runs_check_triangle_once(monkeypatch, capsys):
+    calls = []
+    check_triangle = liesuper.check_triangle
+
+    def counting(*args):
+        calls.append(args)
+        return check_triangle(*args)
+
+    monkeypatch.setattr(liesuper, "check_triangle", counting)
+    monkeypatch.setattr(cli, "check_triangle", counting)
+    for argv in (
+        ["lie", "check", "gl", "2", "1", "--calibrate"],
+        ["--format", "json", "lie", "check", "osp_odd", "2", "1", "--calibrate"],
+        ["lie", "check", "osp_odd", "1", "2"],
+    ):
+        calls.clear()
+        assert run(argv) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_lie_rank_is_capped(capsys):
+    assert liesuper.MAX_LIE_RANK == 64
+    assert preset("gl", 64, 0).n == zeta_matrix("osp_odd", 30, 34).n == 64
+    for build in (preset, zeta_matrix):
+        for family, p, q in (("gl", 65, 0), ("osp_even", 1, 64), ("osp_odd", 33, 32)):
+            with pytest.raises(ResourceCapError, match=r"rank p \+ q = 65 exceeds the Lie rank cap 64"):
+                build(family, p, q)
+    assert run(["lie", "check", "gl", "40", "25"]) == 2
+    assert capsys.readouterr() == ("", "error: rank p + q = 65 exceeds the Lie rank cap 64\n")
