@@ -31,7 +31,7 @@ class GammaMatrix:
 
     sig: Signature
     rows: tuple[tuple[int, ...], ...]
-    # largest |entry|, set once here so require_valid checks its cap in O(1)
+    # largest |entry|, set once here for require_valid's entry cap
     max_abs_entry: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,6 +61,11 @@ class GammaMatrix:
     def column_degrees(self) -> tuple[int, ...]:
         """Total generator exponent of each column's word: sum of |entries|."""
         return tuple(sum(abs(row[c]) for row in self.rows) for c in range(self.m))
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate_gamma``'s report, computed on first read and kept."""
+        return validate_gamma(self)
 
     def apply(self, g: Sequence[int]) -> tuple[int, ...]:
         """Image of g under the linear map Z^m -> Z^n."""
@@ -143,7 +148,7 @@ def validate_gamma(gm: GammaMatrix) -> ValidationReport:
     A column pair (i, j) is acceptable when some Clifford row has a strictly
     negative entry product (the crossed words collapse to zero on that row),
     or when every row has a non-positive entry product (the words commute up
-    to a sign).
+    to a sign).  Each call builds a new report and applies no caps.
     """
     report = ValidationReport()
     n, m = gm.n, gm.m
@@ -175,10 +180,10 @@ MAX_ENTRY = 1000
 
 def require_valid(gm: GammaMatrix) -> None:
     """Raise InvalidGammaError for an invalid matrix, ResourceCapError for an
-    entry beyond MAX_ENTRY."""
-    report = validate_gamma(gm)
-    if not report.valid:
-        raise InvalidGammaError(report)
+    entry beyond MAX_ENTRY, on every call; the verdict is read from
+    ``gm.validation``, so each matrix object is validated at most once."""
+    if not gm.validation.valid:
+        raise InvalidGammaError(gm.validation)
     if gm.max_abs_entry > MAX_ENTRY:
         raise ResourceCapError(f"|entry| = {gm.max_abs_entry} exceeds the entry cap {MAX_ENTRY}")
 
@@ -192,10 +197,6 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     t_i is their outer product.
     """
     require_valid(gm)
-    return _derive_t(gm, col)
-
-
-def _derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     sig = gm.sig
     factors = (_row_factor(sig.is_clifford(r), k) for r, k in enumerate(gm.column(col)))
     return BaseRingElement._raw(sig, dict(_outer_product(factors)))
@@ -222,10 +223,6 @@ def derive_mu(gm: GammaMatrix):
     off-diagonal entries enter the commutation relations.
     """
     require_valid(gm)
-    return _derive_mu(gm)
-
-
-def _derive_mu(gm: GammaMatrix):
     cols = [gm.column(c) for c in range(gm.m)]
     pparity = tuple(sum(v * p for v, p in zip(col, gm.sig.parity)) & 1 for col in cols)
     pprime = tuple(sum(col) & 1 for col in cols)
@@ -257,12 +254,11 @@ class TgwDatum:
 
     @cached_property
     def t(self) -> tuple[BaseRingElement, ...]:
-        return tuple(_derive_t(self.gm, c) for c in range(self.gm.m))
+        return tuple(derive_t(self.gm, c) for c in range(self.gm.m))
 
 
 def derive_datum(gm: GammaMatrix) -> TgwDatum:
-    require_valid(gm)
-    mu, pparity, pprime = _derive_mu(gm)
+    mu, pparity, pprime = derive_mu(gm)
     return TgwDatum(
         gm=gm,
         sigma=tuple(gm.column(c) for c in range(gm.m)),
@@ -428,7 +424,10 @@ def _same_tensor(lhs: dict, rhs: dict, scalar: int = 1) -> bool:
 def phi_generator(gm: GammaMatrix, col: int, kind: str = "X") -> SuperElement:
     """Image of the generator X_i (column word) or Y_i (its involution)."""
     require_valid(gm)
-    return _phi_generator(gm, col, kind)
+    _check_letter(gm, col, kind)
+    pairs = tuple((k, 0) if k >= 0 else (0, -k) for k in gm.column(col))
+    el = SuperElement.from_mono(gm.sig, pairs)
+    return el if kind == "X" else el.star()
 
 
 def _check_letter(gm: GammaMatrix, col: int, kind: str) -> None:
@@ -436,13 +435,6 @@ def _check_letter(gm: GammaMatrix, col: int, kind: str) -> None:
         raise ValueError(f"kind must be 'X' or 'Y', got {kind!r}")
     if not 0 <= col < gm.m:
         raise IndexError(f"column {col} out of range for m={gm.m}")
-
-
-def _phi_generator(gm: GammaMatrix, col: int, kind: str) -> SuperElement:
-    _check_letter(gm, col, kind)
-    pairs = tuple((k, 0) if k >= 0 else (0, -k) for k in gm.column(col))
-    el = SuperElement.from_mono(gm.sig, pairs)
-    return el if kind == "X" else el.star()
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .algebra import Signature, SuperElement, _exact, _mono_product, accumulate_terms
 from .basering import BaseRingElement, iota_embed
-from .datum import GammaMatrix, _phi_generator, require_valid
+from .datum import GammaMatrix, phi_generator, require_valid
 from .errors import ResourceCapError, SignatureMismatchError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
@@ -133,7 +133,8 @@ def unit_calibration(ne: int, n: int) -> Calibration:
 
 @dataclass(frozen=True)
 class LiePreset:
-    """A presentation as built by ``preset``, which validates ``zeta`` once."""
+    """A presentation as built by ``preset``, which validates ``zeta``; the
+    matrix keeps its verdict, so later reads of ``zeta`` do not repeat it."""
 
     family: str
     p: int
@@ -402,7 +403,7 @@ def check_triangle(preset: LiePreset, scalings: Optional[Calibration] = None) ->
     x_matches = []
     for c in range(preset.zeta.m):
         scaled = cal.e_scale[c] * preset.e_images[c]
-        x_matches.append(_phi_generator(preset.zeta, c, "X") == scaled)
+        x_matches.append(phi_generator(preset.zeta, c) == scaled)
     h_offsets: list[Optional[Fraction]] = []
     for i in range(preset.n):
         lam = sig.lam(i, i)
@@ -449,7 +450,7 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
 
     e_scale = []
     for c in range(ne):
-        rho = _scalar_ratio(_phi_generator(preset.zeta, c, "X").terms, preset.e_images[c].terms)
+        rho = _scalar_ratio(phi_generator(preset.zeta, c).terms, preset.e_images[c].terms)
         if rho is None or rho == 0:
             return failed(f"column word {c + 1} is not a scalar multiple of the raising image")
         e_scale.append(rho)

@@ -326,7 +326,7 @@ def test_consistency_does_not_expand_t(matrix_file, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("t expanded")
 
-    monkeypatch.setattr(superweyl.datum, "_derive_t", refuse)
+    monkeypatch.setattr(superweyl.datum, "derive_t", refuse)
     assert run(["consistency", path]) == 0
     assert capsys.readouterr().out == before
 

@@ -6,7 +6,7 @@ import pytest
 
 import superweyl.basering
 import superweyl.datum
-from superweyl.datum import MAX_WORD_DEGREE
+from superweyl.datum import MAX_ENTRY, MAX_WORD_DEGREE
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
@@ -35,6 +35,7 @@ from superweyl import (
     word_element,
     zeta_matrix,
 )
+from superweyl.liesuper import calibrate, check_triangle, preset
 from helpers import (
     bidiagonal_matrix,
     expanded_consistency,
@@ -116,18 +117,16 @@ MATRIX_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
 def test_invalid_matrix_refused_by_derivations(entry):
-    gm = GammaMatrix(Signature("minus", (1,)), ((2,),))
-    with pytest.raises(InvalidGammaError):
-        MATRIX_ENTRY_POINTS[entry](gm)
+    invalid = GammaMatrix(Signature("minus", (1,)), ((2,),))
+    over_cap = GammaMatrix(Signature("minus", (0,)), ((MAX_ENTRY + 1,),))
+    # the verdict is kept on the matrix, and every call still refuses it
+    for gm, error in ((invalid, InvalidGammaError), (over_cap, ResourceCapError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                MATRIX_ENTRY_POINTS[entry](gm)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: enumerate_support(EX_C, [(-2, 2)] * 3),
-    lambda: derive_datum(EX_C),
-    lambda: eval_word(EX_C, [("Y", 0), ("X", 0), ("X", 1), ("Y", 2), ("X", 2)]),
-    lambda: oracle_membership(EX_C, (1, 2, 1)),
-], ids=["enumerate_support", "derive_datum", "eval_word", "oracle_membership"])
-def test_one_validation_per_call(call, monkeypatch):
+def _count_validations(monkeypatch) -> list:
     calls = []
     original = superweyl.datum.validate_gamma
 
@@ -136,8 +135,33 @@ def test_one_validation_per_call(call, monkeypatch):
         return original(gm)
 
     monkeypatch.setattr(superweyl.datum, "validate_gamma", counting)
-    call()
-    assert len(calls) == 1
+    return calls
+
+
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_one_validation_per_call(entry, monkeypatch):
+    calls = _count_validations(monkeypatch)
+    gm = GammaMatrix(Signature("minus", (1, 0)), ((1,), (2,)))
+    for _ in range(2):
+        MATRIX_ENTRY_POINTS[entry](gm)
+    assert calls == [gm]
+
+
+def test_one_validation_per_preset(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    pre = preset("osp_odd", 2, 1)
+    for _ in range(2):
+        assert check_triangle(pre).all_x_match
+        assert calibrate(pre).solved
+    assert calls == [pre.zeta]
+
+
+def test_validate_gamma_is_not_cached():
+    gm = GammaMatrix(Signature("minus", (1,)), ((2,),))
+    first, second = validate_gamma(gm), validate_gamma(gm)
+    assert first is not second and first == second
+    assert gm.validation is gm.validation
+    assert gm.validation is not first and gm.validation == first
 
 
 def test_derive_t_cases():
@@ -397,7 +421,7 @@ def test_derive_datum_expands_t_only_when_read(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("t expanded")
 
-    monkeypatch.setattr(superweyl.datum, "_derive_t", refuse)
+    monkeypatch.setattr(superweyl.datum, "derive_t", refuse)
     assert [_instances(consistency_check(derive_datum(gm))) for gm in matrices] == before
     with pytest.raises(AssertionError, match="t expanded"):
         derive_datum(dense).t

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +12,16 @@ from superweyl import (
     ResourceCapError,
     Signature,
     enumerate_support,
+    gamma_from_dict,
     gamma_rank_kernel,
+    gamma_to_dict,
     identity_gamma,
     injectivity_report,
     is_in_support,
     oracle_membership,
     verify_witness,
 )
+from superweyl.cli import run
 from helpers import inj_example_matrices, random_degree_vector, random_valid_gamma
 
 EX_A = GammaMatrix(Signature("minus", (1,)), ((1, -1),))
@@ -112,6 +117,13 @@ def test_pattern_search_agrees_with_image_oracle():
         gm = random_valid_gamma(rng)
         g = random_degree_vector(rng, gm.m, max_total=5)
         assert (is_in_support(gm, g) is not None) == oracle_membership(gm, g)
+
+
+def test_oracle_membership_deep_query():
+    # 1,200 letters: one stack level each, past the default recursion limit
+    band = Path(__file__).resolve().parent.parent / "samples" / "band.json"
+    gm = gamma_from_dict(json.loads(band.read_text()))
+    assert oracle_membership(gm, (600, 600), cap=2000) is True
 
 
 def test_membership_requires_valid_matrix():
@@ -224,7 +236,7 @@ def test_rank_kernel_random_consistency():
             assert gm.apply(vec) == (0,) * n
 
 
-def test_injectivity_reports_for_example_matrices():
+def test_injectivity_reports_for_example_matrices(tmp_path, capsys):
     for name, gm in inj_example_matrices().items():
         report = injectivity_report(gm, [(-3, 3)] * gm.m)
         assert report.rank == gm.m
@@ -232,8 +244,12 @@ def test_injectivity_reports_for_example_matrices():
         assert report.globally_injective
         assert report.gamma_distinct_on_box
         assert report.p_gamma_zero_fiber
-        assert report.containment_ok
+        assert report.to_dict()["clifford_containment"] is True
         assert report.passed
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(gamma_to_dict(gm)))
+        assert run(["injectivity", str(path), "--box", ",".join(["-3:3"] * gm.m)]) == 0
+        assert "Clifford containment: yes\n" in capsys.readouterr().out
 
 
 def test_projected_distinctness_is_data_not_gate():
