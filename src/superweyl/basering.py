@@ -199,11 +199,18 @@ def _scaled_sum(parts) -> dict:
 
 
 def _xd_coeffs(clifford: bool, k: int) -> list[int]:
-    """Coefficients of x^k d^k in u = d x, lowest power first."""
-    if clifford:
-        return [1, -1] if k else [1]
+    """Coefficients of x^k d^k = (u - 1)...(u - k) in u = d x, lowest power first."""
+    return _expand_roots(clifford, range(1, k + 1))
+
+
+def _expand_roots(clifford: bool, roots) -> list[int]:
+    """Integer coefficients, lowest power first, of the product of (u - r)
+    over the roots; on a Clifford index the one root r names the factor
+    that vanishes there, u for r = 0 and 1 - u for r = 1."""
+    if clifford and roots:
+        return [1, -1] if roots[0] else [0, 1]
     coeffs = [1]
-    for s in range(1, k + 1):
-        # multiply by (u - s)
-        coeffs = [lo - s * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    for r in roots:
+        # multiply by (u - r)
+        coeffs = [lo - r * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
     return coeffs

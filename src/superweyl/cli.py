@@ -47,6 +47,8 @@ def _from_file(what: str, path: str, load):
         )
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"{what} file {path}: {exc}")
+    except RecursionError:
+        raise _UsageError(f"{what} file {path}: nested too deeply to parse")
 
 
 def _load_matrix(path: str):
@@ -89,7 +91,7 @@ def _parse_word(text: str) -> list[tuple[str, int]]:
     word = []
     for token in text.replace(",", " ").split():
         kind, number = token[:1].upper(), token[1:]
-        if kind not in ("X", "Y") or not number.isdigit() or int(number) < 1:
+        if kind not in ("X", "Y") or not number.isdecimal() or int(number) < 1:
             raise _UsageError(f"word letters look like X1 or Y2, got {token!r}")
         word.append((kind, int(number) - 1))
     return word

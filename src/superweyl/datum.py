@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, _word_terms, int_tuple
-from .basering import BaseRingElement, _outer_product, _xd_coeffs, project_zero
+from .basering import BaseRingElement, _expand_roots, _outer_product, project_zero
 from .errors import InvalidGammaError, ResourceCapError, SignatureMismatchError
 
 
@@ -100,16 +100,18 @@ def gamma_to_dict(gm: GammaMatrix) -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    """Per-violation diagnostics; the matrix is valid iff all lists are empty.
+    """Per-violation diagnostics; the matrix is valid iff all are empty.
 
-    Indices are 0-based; ``to_dict`` renders them 1-based for reports.
+    Indices are 0-based; ``to_dict`` renders them 1-based for reports.  The
+    report is frozen, since ``GammaMatrix.validation`` keeps it as the
+    matrix's verdict and ``InvalidGammaError.report`` hands it out.
     """
 
-    zero_columns: list[int] = field(default_factory=list)
-    clifford_violations: list[tuple[int, int]] = field(default_factory=list)
-    sign_violations: list[tuple[int, int]] = field(default_factory=list)
+    zero_columns: tuple[int, ...] = ()
+    clifford_violations: tuple[tuple[int, int], ...] = ()
+    sign_violations: tuple[tuple[int, int], ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -150,26 +152,21 @@ def validate_gamma(gm: GammaMatrix) -> ValidationReport:
     or when every row has a non-positive entry product (the words commute up
     to a sign).  Each call builds a new report and applies no caps.
     """
-    report = ValidationReport()
     n, m = gm.n, gm.m
     cliff = [gm.sig.is_clifford(r) for r in range(n)]
-    for c in range(m):
-        if all(gm.rows[r][c] == 0 for r in range(n)):
-            report.zero_columns.append(c)
-    for r in range(n):
-        if not cliff[r]:
-            continue
-        for c in range(m):
-            if abs(gm.rows[r][c]) > 1:
-                report.clifford_violations.append((r, c))
+    zero_columns = [c for c in range(m) if all(gm.rows[r][c] == 0 for r in range(n))]
+    clifford_violations = [
+        (r, c) for r in range(n) if cliff[r] for c in range(m) if abs(gm.rows[r][c]) > 1
+    ]
+    sign_violations = []
     for i in range(m):
         for j in range(i + 1, m):
             prods = [gm.rows[r][i] * gm.rows[r][j] for r in range(n)]
             if any(p < 0 and cliff[r] for r, p in enumerate(prods)):
                 continue
             if any(p > 0 for p in prods):
-                report.sign_violations.append((i, j))
-    return report
+                sign_violations.append((i, j))
+    return ValidationReport(tuple(zero_columns), tuple(clifford_violations), tuple(sign_violations))
 
 
 # Largest |entry| a derived computation accepts: t_i holds a degree-|k|
@@ -191,10 +188,8 @@ def require_valid(gm: GammaMatrix) -> None:
 def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     """Central element t_i = product over rows of the paired-word factor.
 
-    Row r with entry k contributes d_r^k x_r^k = u_r (u_r + 1) ... (u_r + k - 1)
-    for k > 0 and x_r^|k| d_r^|k| = (u_r - 1) ... (u_r - |k|) for k < 0
-    (1 - u_r on a Clifford row); the factors live in distinct variables, so
-    t_i is their outer product.
+    Row r with entry k contributes the factor with roots ``_roots(k)``; the
+    factors live in distinct variables, so t_i is their outer product.
     """
     require_valid(gm)
     sig = gm.sig
@@ -202,16 +197,17 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     return BaseRingElement._raw(sig, dict(_outer_product(factors)))
 
 
+def _roots(k: int) -> range:
+    """Roots of the factor entry k puts on its row of t_i: of d^k x^k =
+    u (u + 1)...(u + k - 1) for k > 0, of x^|k| d^|k| = (u - 1)...(u - |k|)
+    for k < 0, and on a Clifford row the point where u or 1 - u vanishes."""
+    return range(1 - k, 1) if k > 0 else range(1, 1 - k)
+
+
 def _row_factor(clifford: bool, k: int) -> list[int]:
     """Integer coefficients, lowest power first, of the factor that entry k
     puts on its row of t_i; [1] for k = 0."""
-    if k < 0:
-        return _xd_coeffs(clifford, -k)
-    coeffs = [1]
-    for s in range(k):
-        # multiply by (u + s)
-        coeffs = [s * lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+    return _expand_roots(clifford, _roots(k))
 
 
 def derive_mu(gm: GammaMatrix):
@@ -319,29 +315,20 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     Both families are symmetric in the swapped indices, so unordered
     iteration covers all instances.
 
-    Each t_i is a pure tensor: a product of one univariate factor per row
-    (``_row_factor`` of the matrix entry), and each sigma shifts every row
-    on its own, so both sides of every identity are pure tensors
-    c * (x)_r f_r(u_r) over the rows the columns involved touch.  The base
-    ring is the tensor product of the row rings k[u] (Weyl rows) and
-    k[u]/(u^2 - u) (Clifford rows), so a pure tensor is zero iff one of its
-    row factors is, and two nonzero ones agree iff their factors are
-    proportional row by row with the ratios multiplying out to the ratio of
-    the scalars.  The factors here stay normalized, so that reduces to
-    equality (``_same_tensor``).  Weyl factors are integer coefficient
-    lists, shifted by Horner (f(u) -> f(u - s)); Clifford factors are their
-    values at u = 0 and u = 1, which an odd shift swaps and a product
-    multiplies pointwise.  An instance therefore costs O(n) factor
-    operations over the rows its columns touch, with nothing expanded in
-    the n variables, and there are O(m^3) instances.
+    Each t_i is a pure tensor: one monic factor per row, with the integer
+    roots ``_roots`` of the entry, and each sigma shifts every row on its
+    own, so both sides of every identity are pure tensors c * (x)_r f_r(u_r)
+    over the rows the columns involved touch, kept as their roots.  On a
+    Weyl row a shift by s adds s to every root and a product merges them.
+    On a Clifford row (u^2 = u) an odd shift maps the root r to 1 - r, and
+    a product takes the union, zero once it holds both 0 and 1.  An
+    instance costs O(n) root operations over the rows its columns touch,
+    with no polynomial arithmetic, and there are O(m^3) instances.
     """
     gm, sigma, mu = datum.gm, datum.sigma, datum.mu
     m = gm.m
     cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
-    t = [
-        {r: _tensor_factor(cliff[r], k) for r, k in enumerate(gm.column(c)) if k}
-        for c in range(m)
-    ]
+    t = [{r: tuple(_roots(k)) for r, k in enumerate(gm.column(c)) if k} for c in range(m)]
 
     def shifted(c, s):
         return {r: _shift_factor(f, s[r], cliff[r]) for r, f in t[c].items()}
@@ -376,46 +363,28 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     return ConsistencyReport(instances)
 
 
-def _tensor_factor(clifford: bool, k: int) -> tuple[int, ...]:
-    """The row factor of entry k: coefficients on a Weyl row, the values at
-    u = 0 and u = 1 on a Clifford row."""
-    coeffs = _row_factor(clifford, k)
-    return (coeffs[0], sum(coeffs)) if clifford else tuple(coeffs)
-
-
 def _shift_factor(f: tuple[int, ...], s: int, clifford: bool) -> tuple[int, ...]:
-    """The row factor f(u) carried to f(u - s), or f(1 - u) for odd s on a
-    Clifford row."""
+    """Roots of f(u - s), or of f(1 - u) for odd s on a Clifford row."""
     if clifford:
-        return f[::-1] if s & 1 else f
-    if not s:
-        return f
-    out: list[int] = []
-    for a in reversed(f):
-        # Horner step: out * (u - s) + a
-        out = [lo - s * hi for lo, hi in zip([0] + out, out + [0])]
-        out[0] += a
-    return tuple(out)
+        return tuple(1 - r for r in f) if s & 1 else f
+    return tuple(r + s for r in f) if s else f
 
 
-def _times_factor(f: tuple[int, ...], g: tuple[int, ...], clifford: bool) -> tuple[int, ...]:
+def _times_factor(f: tuple[int, ...], g: tuple[int, ...], clifford: bool):
+    """Sorted roots of the product of two row factors, or None for zero: on
+    a Clifford row, where each factor has one root, when the roots differ."""
     if clifford:
-        return (f[0] * g[0], f[1] * g[1])
-    out = [0] * (len(f) + len(g) - 1)
-    for a, x in enumerate(f):
-        for b, y in enumerate(g):
-            out[a + b] += x * y
-    return tuple(out)
+        return f if f == g else None
+    return tuple(sorted(f + g))
 
 
 def _same_tensor(lhs: dict, rhs: dict, scalar: int = 1) -> bool:
-    """Whether the pure tensor lhs equals scalar * rhs (factors on the same
-    rows).  Every factor is already in normal form, since rising and falling
-    products are monic and shifts and products keep them so, while Clifford
-    values stay in {0, 1}: two nonzero tensors agree iff the scalar is 1 and
-    the factors agree row by row."""
-    lhs_zero = not all(any(f) for f in lhs.values())
-    rhs_zero = not scalar or not all(any(g) for g in rhs.values())
+    """Whether the pure tensor lhs equals scalar * rhs, each given by the
+    sorted roots of its monic row factors on the same rows (None for a zero
+    factor).  A tensor is zero iff one of its factors is, and two nonzero
+    ones agree iff the scalar is 1 and their roots agree row by row."""
+    lhs_zero = None in lhs.values()
+    rhs_zero = not scalar or None in rhs.values()
     if lhs_zero or rhs_zero:
         return lhs_zero and rhs_zero
     return scalar == 1 and lhs == rhs

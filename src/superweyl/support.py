@@ -45,6 +45,9 @@ Witness = tuple[tuple[int, int], ...]
 
 DEFAULT_BOX_CAP = 10**6
 DEFAULT_ORACLE_CAP = 8
+# Most letters one witness may hold: a point with more is refused before its
+# witness list is built.  [[1]] with g = 100000 renders 800 KB in 0.2 s.
+MAX_WITNESS_LETTERS = 100_000
 
 
 def _letters(gm: GammaMatrix, g: Sequence[int]):
@@ -73,6 +76,12 @@ def clifford_image_ok(gm: GammaMatrix, g: Sequence[int]) -> bool:
     return all(abs(image[r]) <= 1 for r in gm.sig.clifford_indices)
 
 
+def _require_witness_size(g: tuple[int, ...]) -> None:
+    total = sum(map(abs, g))
+    if total > MAX_WITNESS_LETTERS:
+        raise ResourceCapError(f"|g| = {total} exceeds the witness cap {MAX_WITNESS_LETTERS}")
+
+
 def _degree_vector(gm: GammaMatrix, g: Sequence[int]) -> tuple[int, ...]:
     g = int_tuple(g, "degree vector entries")
     if len(g) != gm.m:
@@ -84,12 +93,15 @@ def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
     """First admissible ordering of the letter multiset, or None.
 
     Branches are explored in ascending column order, so the returned witness
-    is the lexicographically least admissible column sequence.
+    is the lexicographically least admissible column sequence.  A contained
+    point whose witness would hold more than MAX_WITNESS_LETTERS letters
+    raises ResourceCapError.
     """
     require_valid(gm)
     g = _degree_vector(gm, g)
     if not clifford_image_ok(gm, g):
         return None
+    _require_witness_size(g)
     letters = _letters(gm, g)
     return _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], set())
 
@@ -190,7 +202,8 @@ def enumerate_support(
     """All support points in a finite box, with their witnesses, sorted.
 
     The witnesses are those of ``is_in_support``; the box size is checked
-    against ``cap`` before any point is visited.
+    against ``cap`` before any point is visited, and a contained point with
+    too long a witness raises ResourceCapError as there.
     """
     require_valid(gm)
     box = [int_tuple(interval, "box bounds") for interval in box]
@@ -208,6 +221,7 @@ def enumerate_support(
     for g in _contained_points(gm, box):
         if even_lattice and sum(g) % 2 != 0:
             continue
+        _require_witness_size(g)
         pattern = tuple((v > 0) - (v < 0) for v in g)
         if pattern not in shared:
             shared[pattern] = (_letters(gm, g), set())
@@ -284,7 +298,7 @@ def oracle_membership(gm: GammaMatrix, g: Sequence[int], cap: int = DEFAULT_ORAC
     """
     require_valid(gm)
     g = _degree_vector(gm, g)
-    total = sum(abs(v) for v in g)
+    total = sum(map(abs, g))
     if total > cap:
         raise ResourceCapError(f"|g| = {total} exceeds the oracle cap {cap}")
     if total == 0:
@@ -436,7 +450,9 @@ def injectivity_report(
     distinctness result is labeled box-restricted by the caller.  Boxed
     support points are contained (Clifford image entries in {-1, 0, 1}), so
     a projected image is zero exactly when the plain image is, and the zero
-    fiber is read off the plain images.
+    fiber is read off the plain images.  The points come from
+    ``enumerate_support``, so a contained point whose witness would hold more
+    than MAX_WITNESS_LETTERS letters raises ResourceCapError here too.
     """
     rank, kernel = gamma_rank_kernel(gm)
     pts = [g for g, _ in enumerate_support(gm, box, cap=cap)]

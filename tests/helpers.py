@@ -13,6 +13,9 @@ identities by expanding both sides in all n base-ring variables through
 ``tau_apply`` and ``BaseRingElement`` products, the way ``consistency_check``
 did before it went row by row.
 
+``closed_form_consistency`` decides the same identities for derived data
+from the signs and parities of the entries alone, with no ring arithmetic.
+
 ``expanded_relations`` is the third: it builds every Chevalley relation
 residual from scaled ``SuperElement`` images and ``super_bracket``, the way
 ``check_relations`` did before it scaled brackets cached per preset.  It
@@ -264,6 +267,43 @@ def expanded_consistency(datum):
                 rhs = tau_apply(si, datum.t[j]) * tau_apply(sk, datum.t[j])
                 out.append(("triple", (i, j, k), lhs == rhs))
     return out
+
+
+def closed_form_consistency(gm):
+    """(kind, indices, passed) per instance for ``derive_datum(gm)``, in
+    ``consistency_check`` order, read off the entries.
+
+    Every pair identity holds.  A triple (i, j, k) holds iff some Clifford
+    row r with g_rj != 0 has g_ri + g_rk odd (both sides vanish there), or
+    every row r with g_rj != 0 has g_ri * g_rk = 0.
+    """
+    m = gm.m
+    out = [("pair", (i, j), True) for i in range(m) for j in range(i + 1, m)]
+    for j in range(m):
+        rows = [row for row in gm.rows if row[j]]
+        clifford = [row for r, row in enumerate(gm.rows) if row[j] and gm.sig.is_clifford(r)]
+        for i in range(m):
+            if i == j:
+                continue
+            for k in range(i + 1, m):
+                if k == j:
+                    continue
+                vanish = any((row[i] + row[k]) % 2 for row in clifford)
+                commute = all(row[i] * row[k] == 0 for row in rows)
+                out.append(("triple", (i, j, k), vanish or commute))
+    return out
+
+
+def widen_weyl_entries(gm, rng, top=1000):
+    """gm with each nonzero entry on a Weyl row given a random magnitude in
+    1..top and its sign kept.  Validity depends only on the signs of the
+    Weyl entries, so a valid matrix stays valid."""
+    rows = tuple(
+        row if gm.sig.is_clifford(r)
+        else tuple(v and (1 if v > 0 else -1) * rng.randint(1, top) for v in row)
+        for r, row in enumerate(gm.rows)
+    )
+    return GammaMatrix(gm.sig, rows)
 
 
 def _oracle_relations(family, n, p):

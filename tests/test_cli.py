@@ -232,6 +232,22 @@ def test_consistency_golden(fmt, data, code, lines, digest, matrix_file, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+WIDE_WEYL = {
+    "sign": "minus", "parity": [0, 0, 0],
+    "gamma": [[500, -500, 0], [0, 400, -400], [-300, 0, 300]],
+}
+
+
+def test_consistency_on_large_weyl_entries(matrix_file, capsys):
+    # stdout recorded from the check that shifted and multiplied integer
+    # coefficient lists, which took about 25 s on this matrix
+    assert run(["consistency", matrix_file(WIDE_WEYL)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fcfa517af2d64a9708b6cecabaa22ec1ce0bfdbff74eab3d5fdb80762673f85f"
+    )
+
+
 EMPTY = hashlib.sha256(b"").hexdigest()
 HELP_PINS = [
     (["-h"], 0, "2025d67a1656d2a739b69497f51e7e8e08bc1429f042a39a52f3f35632c56687", EMPTY),
@@ -463,6 +479,38 @@ def test_undecodable_matrix_file_is_a_usage_error(tmp_path, capsys):
     assert run(["validate", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: matrix file {path}: ")
+
+
+def _one_error_line(capsys, message):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_word_letter_takes_decimal_digits_only(matrix_file, capsys):
+    # a superscript two passes str.isdigit but not int()
+    assert run(["eval", matrix_file(ID11), "-w", "X\u00b2"]) == 2
+    _one_error_line(capsys, "word letters look like X1 or Y2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{path}"],
+    ["lie", "check", "gl", "1", "1", "--fixtures", "{path}"],
+], ids=["matrix", "fixtures"])
+def test_deeply_nested_file_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    assert run([a.format(path=path) for a in argv]) == 2
+    _one_error_line(capsys, "nested too deeply to parse")
+
+
+def test_witness_cap_is_a_resource_error(matrix_file, capsys):
+    path = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1]]})
+    huge = "99999999999999999999999999"
+    assert run(["support", "member", path, "-g", huge]) == 2
+    _one_error_line(capsys, f"|g| = {huge} exceeds the witness cap 100000")
+    assert run(["support", "enum", path, "--box", "100000:100001"]) == 2
+    _one_error_line(capsys, "|g| = 100001 exceeds the witness cap 100000")
 
 
 def test_word_degree_cap_is_a_resource_error(matrix_file, capsys):

@@ -38,9 +38,11 @@ from superweyl import (
 from superweyl.liesuper import calibrate, check_triangle, preset
 from helpers import (
     bidiagonal_matrix,
+    closed_form_consistency,
     expanded_consistency,
     product_eval_word,
     random_valid_gamma,
+    widen_weyl_entries,
 )
 
 EX_C = GammaMatrix(Signature("minus", (0, 1, 1)), ((1, 3, 0), (1, 0, -1), (1, -1, 1)))
@@ -85,21 +87,21 @@ def test_validate_clifford_entry_bound():
     gm = GammaMatrix(Signature("minus", (1,)), ((2,),))
     rep = validate_gamma(gm)
     assert not rep.valid
-    assert rep.clifford_violations == [(0, 0)]
+    assert rep.clifford_violations == ((0, 0),)
 
 
 def test_validate_sign_condition():
     gm = GammaMatrix(Signature("minus", (0,)), ((1, 1),))
     rep = validate_gamma(gm)
     assert not rep.valid
-    assert rep.sign_violations == [(0, 1)]
+    assert rep.sign_violations == ((0, 1),)
 
 
 def test_validate_zero_column():
     gm = GammaMatrix(Signature("minus", (0, 1)), ((1, 0), (0, 0)))
     rep = validate_gamma(gm)
     assert not rep.valid
-    assert rep.zero_columns == [1]
+    assert rep.zero_columns == (1,)
 
 
 MATRIX_ENTRY_POINTS = {
@@ -162,6 +164,21 @@ def test_validate_gamma_is_not_cached():
     assert first is not second and first == second
     assert gm.validation is gm.validation
     assert gm.validation is not first and gm.validation == first
+
+
+def test_cached_verdict_cannot_be_edited():
+    gm = GammaMatrix(Signature("minus", (1,)), ((2,),))
+    with pytest.raises(InvalidGammaError) as caught:
+        derive_mu(gm)
+    report = caught.value.report
+    assert report is gm.validation
+    with pytest.raises(AttributeError):
+        report.clifford_violations.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.clifford_violations = ()
+    # the same matrix object is still refused
+    with pytest.raises(InvalidGammaError):
+        derive_mu(gm)
 
 
 def test_derive_t_cases():
@@ -360,8 +377,23 @@ def test_consistency_matches_expanded_oracle_on_random_matrices():
             datum = derive_datum(random_valid_gamma(rng, max_n=4, max_m=4, sign=sign))
             got = _instances(consistency_check(datum))
             assert got == expanded_consistency(datum), datum.gm
+            assert got == closed_form_consistency(datum.gm), datum.gm
             failing += any(not passed for _, _, passed in got)
     assert failing >= 10
+
+
+def test_consistency_matches_closed_form_on_large_weyl_entries():
+    # entries far beyond what the expanded oracle can multiply out
+    rng = random.Random(20261018)
+    failing = wide = 0
+    for sign in ("minus", "plus"):
+        for _ in range(100):
+            gm = widen_weyl_entries(random_valid_gamma(rng, max_n=5, max_m=5, sign=sign), rng)
+            got = _instances(consistency_check(derive_datum(gm)))
+            assert got == closed_form_consistency(gm), gm
+            failing += any(not passed for _, _, passed in got)
+            wide += gm.max_abs_entry > 100
+    assert failing >= 3 and wide >= 100
 
 
 FIXED_CONSISTENCY = {
@@ -379,7 +411,8 @@ FIXED_CONSISTENCY = {
 @pytest.mark.parametrize("name", sorted(FIXED_CONSISTENCY))
 def test_consistency_matches_expanded_oracle_on_fixed_matrices(name):
     datum = derive_datum(FIXED_CONSISTENCY[name])
-    assert _instances(consistency_check(datum)) == expanded_consistency(datum)
+    got = _instances(consistency_check(datum))
+    assert got == expanded_consistency(datum) == closed_form_consistency(datum.gm)
 
 
 @pytest.mark.parametrize("gm, pair_holds", [
@@ -399,8 +432,9 @@ def test_consistency_honours_an_asymmetric_mu(gm, pair_holds):
 
 
 def test_consistency_check_does_not_expand(monkeypatch):
-    datum = derive_datum(TRIPLE_FAIL)
-    before = _instances(consistency_check(datum))
+    wide = GammaMatrix(Signature("minus", (0, 1, 0)), ((900, -700, 0), (1, 0, -1), (0, 500, -1000)))
+    matrices = (TRIPLE_FAIL, EX_C, wide, zeta_matrix("osp_odd", 3, 2))
+    before = [_instances(consistency_check(derive_datum(gm))) for gm in matrices]
 
     def refuse(*args, **kwargs):
         raise AssertionError("expanded base-ring arithmetic")
@@ -408,9 +442,15 @@ def test_consistency_check_does_not_expand(monkeypatch):
     monkeypatch.setattr(superweyl.basering, "tau_apply", refuse)
     monkeypatch.setattr(superweyl.basering, "tau_single", refuse)
     monkeypatch.setattr(BaseRingElement, "__mul__", refuse)
-    assert _instances(consistency_check(datum)) == before
+    monkeypatch.setattr(superweyl.datum, "_row_factor", refuse)
+    monkeypatch.setattr(superweyl.datum, "_expand_roots", refuse)
+    monkeypatch.setattr(superweyl.basering, "_expand_roots", refuse)
+    monkeypatch.setattr(superweyl.basering, "_xd_coeffs", refuse)
+    assert [_instances(consistency_check(derive_datum(gm))) for gm in matrices] == before
     zeta = derive_datum(zeta_matrix("osp_even", 3, 3))
     assert consistency_check(zeta).all_pass
+    with pytest.raises(AssertionError, match="expanded base-ring arithmetic"):
+        derive_t(wide, 0)
 
 
 def test_derive_datum_expands_t_only_when_read(monkeypatch):

@@ -139,6 +139,26 @@ def test_resource_caps():
         oracle_membership(EX_A, (20, 20))
 
 
+def test_witness_cap_boundary():
+    cap = superweyl.support.MAX_WITNESS_LETTERS
+    weyl = GammaMatrix(Signature("minus", (0, 0)), ((1, 0), (0, 1)))
+    at_cap = (cap - 1, -1)
+    witness = is_in_support(weyl, at_cap)
+    assert len(witness) == cap and verify_witness(weyl, at_cap, witness)
+    with pytest.raises(ResourceCapError, match="exceeds the witness cap"):
+        is_in_support(weyl, (cap, -1))
+    box = [(cap - 2, cap - 1), (-1, -1)]
+    assert [g for g, _ in enumerate_support(weyl, box)] == [(cap - 2, -1), at_cap]
+    with pytest.raises(ResourceCapError, match="exceeds the witness cap"):
+        enumerate_support(weyl, [(cap - 1, cap), (-1, -1)])
+    # injectivity reads its points from enumerate_support and is refused alike
+    assert injectivity_report(weyl, box).points == [(cap - 2, -1), at_cap]
+    with pytest.raises(ResourceCapError, match="exceeds the witness cap"):
+        injectivity_report(weyl, [(cap - 1, cap), (-1, -1)])
+    # containment is decided first: a point off the Clifford bounds is no member
+    assert is_in_support(EX_A, (cap, -cap)) is None
+
+
 def reference_scan(gm, box, even_lattice=False):
     """Every box point in product order, decided one at a time."""
     found = []
