@@ -185,15 +185,30 @@ def require_valid(gm: GammaMatrix) -> None:
         raise ResourceCapError(f"|entry| = {gm.max_abs_entry} exceeds the entry cap {MAX_ENTRY}")
 
 
+# Most terms one t_i may hold: the column (100, -100) gives
+# t_i = d1^100 x1^100 x2^100 d2^100, 10,100 terms and 2.2 MB of text.  The
+# term count is known before t_i is expanded.
+MAX_T_TERMS = 10_000
+
+
 def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     """Central element t_i = product over rows of the paired-word factor.
 
     Row r with entry k contributes the factor with roots ``_roots(k)``; the
-    factors live in distinct variables, so t_i is their outer product.
+    factors live in distinct variables, so t_i is their outer product, with
+    a term per choice of one nonzero coefficient from every factor.  A t_i
+    of more than MAX_T_TERMS terms raises ResourceCapError before any factor
+    is expanded.
     """
     require_valid(gm)
     sig = gm.sig
-    factors = (_row_factor(sig.is_clifford(r), k) for r, k in enumerate(gm.column(col)))
+    column = gm.column(col)
+    terms = 1
+    for k in column:
+        terms *= _factor_terms(k)
+    if terms > MAX_T_TERMS:
+        raise ResourceCapError(f"t_{col + 1} has {terms} terms, over the term cap {MAX_T_TERMS}")
+    factors = (_row_factor(sig.is_clifford(r), k) for r, k in enumerate(column))
     return BaseRingElement._raw(sig, dict(_outer_product(factors)))
 
 
@@ -202,6 +217,13 @@ def _roots(k: int) -> range:
     u (u + 1)...(u + k - 1) for k > 0, of x^|k| d^|k| = (u - 1)...(u - |k|)
     for k < 0, and on a Clifford row the point where u or 1 - u vanishes."""
     return range(1 - k, 1) if k > 0 else range(1, 1 - k)
+
+
+def _factor_terms(k: int) -> int:
+    """Nonzero coefficients of the factor entry k puts on its row: one more
+    than its |k| roots, less the constant term when 0 is a root (k > 0).  The
+    other roots share one sign, so no other coefficient vanishes."""
+    return len(_roots(k)) + (k <= 0)
 
 
 def _row_factor(clifford: bool, k: int) -> list[int]:

@@ -6,7 +6,11 @@ restricted to any Clifford row, never repeat a nonzero sign without a sign
 change in between (no consecutive (s, 0, ..., 0, s) pattern).  The search
 keeps only the remaining multiplicities and the last nonzero sign per
 Clifford row, visiting columns in ascending order, so the first witness
-found is deterministic.
+found is deterministic.  It also fixes each Clifford row's first sign from
+the image (first touch): a row's entries alternate and sum to its image
+value, so a row whose image is 1 must receive a 1 first, and a row whose
+image is -1 a -1.  This prunes only subtrees that cannot be completed, so
+the witness is unchanged (see ``_arrange``).
 
 ``enumerate_support`` does three things a point-by-point scan would not:
 
@@ -24,6 +28,13 @@ found is deterministic.
   backs off at once.
 - A point none of whose letters touches a Clifford row needs no search:
   no state can fail, and the witness is its letters in column order.
+
+Work that does not depend on the point is done once.  The witness cap is
+checked against the box, and per point only when the box could pass it.
+The letters, and whether they touch a Clifford row, are found once per sign
+pattern.  The walk hands over its points by branch, all choices of the
+last entry at once, so the signs, the parity and the column-order witness
+of the first m - 1 entries are found once per branch.
 
 ``oracle_membership`` decides the same question by exhaustively multiplying
 generator images over all arrangements; it shares no logic with the pattern
@@ -48,6 +59,9 @@ DEFAULT_ORACLE_CAP = 8
 # Most letters one witness may hold: a point with more is refused before its
 # witness list is built.  [[1]] with g = 100000 renders 800 KB in 0.2 s.
 MAX_WITNESS_LETTERS = 100_000
+# Most letters the witnesses of one enumeration may hold in all: about 8 MB
+# of `support enum` output.
+MAX_ENUM_LETTERS = 1_000_000
 
 
 def _letters(gm: GammaMatrix, g: Sequence[int]):
@@ -70,10 +84,18 @@ def _letters(gm: GammaMatrix, g: Sequence[int]):
     return letters
 
 
-def clifford_image_ok(gm: GammaMatrix, g: Sequence[int]) -> bool:
-    """Necessary condition: Clifford rows of gamma(g) stay within {-1,0,1}."""
-    image = gm.apply(g)
-    return all(abs(image[r]) <= 1 for r in gm.sig.clifford_indices)
+def _sign_masks(values) -> Optional[tuple[int, int]]:
+    """Bit masks of the positions where ``values`` is 1 and where it is -1,
+    or None when a value leaves {-1, 0, 1}."""
+    plus = minus = 0
+    for k, v in enumerate(values):
+        if v == 1:
+            plus |= 1 << k
+        elif v == -1:
+            minus |= 1 << k
+        elif v:
+            return None
+    return plus, minus
 
 
 def _require_witness_size(g: tuple[int, ...]) -> None:
@@ -99,35 +121,61 @@ def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
     """
     require_valid(gm)
     g = _degree_vector(gm, g)
-    if not clifford_image_ok(gm, g):
+    # a member's image has every Clifford row in {-1, 0, 1}
+    image = gm.apply(g)
+    signs = _sign_masks(map(image.__getitem__, gm.sig.clifford_indices))
+    if signs is None:
         return None
     _require_witness_size(g)
+    letters, failed = _pattern(gm, g)
+    if failed is None:
+        return _column_order(g)
+    return _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], failed, *signs)
+
+
+def _pattern(gm: GammaMatrix, g: Sequence[int]):
+    """The letters of g and an empty failed-state memo for them, or the
+    letters and None when no letter touches a Clifford row."""
     letters = _letters(gm, g)
-    return _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], set())
+    return letters, set() if any(plus or minus for _, _, plus, minus in letters) else None
 
 
-def _arrange(letters, counts: list[int], failed: set) -> Optional[Witness]:
-    """Least admissible ordering of ``counts[i]`` copies of each letter.
+def _column_order(g: Sequence[int]) -> Witness:
+    """|g_c| letters (c, sgn g_c) per column, in column order: the witness
+    when no letter touches a Clifford row, since then no state can fail and
+    the search always takes the least column with letters left."""
+    witness = ()
+    for c, v in enumerate(g):
+        if v:
+            witness += ((c, 1 if v > 0 else -1),) * abs(v)
+    return witness
+
+
+def _arrange(letters, counts: list[int], failed: set, image_plus: int, image_minus: int):
+    """Least admissible ordering of ``counts[i]`` copies of each letter, or None.
 
     A state is the remaining counts and the last nonzero sign per Clifford
     row, kept as two bit masks (rows whose last sign is 1, rows whose last
-    sign is -1).  ``failed`` holds states known to have no admissible
-    completion.  Such a state depends only on the letters, not on the point,
-    so callers may share one set between points with the same letters; the
-    search adds the states it exhausts.
+    sign is -1); a letter may not repeat the last sign of a row it touches.
+
+    The entries a Clifford row receives alternate and sum to its image
+    value, so a row whose image is 1 (a bit of ``image_plus``) must receive
+    a 1 first, and a row whose image is -1 (``image_minus``) a -1.  The
+    search starts as if such a row's last sign were the opposite one: this
+    prunes only states that cannot be completed and keeps the search order,
+    so the witness is the same.  An untouched row's image is the sum of its
+    remaining letters, so whether a state can be completed still depends
+    only on the state and the letters.
+
+    ``failed`` holds states known to have no admissible completion.  They do
+    not depend on the point, so callers may share one set between points
+    with the same letters; the search adds the states it exhausts.
     """
-    if not any(plus or minus for _, _, plus, minus in letters):
-        # no letter touches a Clifford row, so no state can fail and the
-        # search would always take the least column that still has letters
-        witness = []
-        for (c, s, _, _), k in zip(letters, counts):
-            witness += [(c, s)] * k
-        return tuple(witness)
     # an explicit stack holds one level per letter, so deep queries do not
     # hit the recursion limit; a state that failed once is never re-expanded
     total = sum(counts)
     path: list[int] = []  # letter index placed at each depth
-    stack = [(0, 0, 0)]  # (rows last 1, rows last -1, next letter to try)
+    stack = [(image_minus, image_plus, 0)]  # (rows last 1, rows last -1, next letter to try)
     while stack:
         if len(path) == total:
             return tuple(letters[idx][:2] for idx in path)
@@ -140,7 +188,7 @@ def _arrange(letters, counts: list[int], failed: set) -> Optional[Witness]:
             counts[idx] -= 1
             keep = ~(plus | minus)
             new_plus, new_minus = last_plus & keep | plus, last_minus & keep | minus
-            if (tuple(counts), new_plus, new_minus) not in failed:
+            if not failed or (tuple(counts), new_plus, new_minus) not in failed:
                 stack[-1] = (last_plus, last_minus, idx + 1)
                 stack.append((new_plus, new_minus, 0))
                 path.append(idx)
@@ -203,7 +251,8 @@ def enumerate_support(
 
     The witnesses are those of ``is_in_support``; the box size is checked
     against ``cap`` before any point is visited, and a contained point with
-    too long a witness raises ResourceCapError as there.
+    too long a witness raises ResourceCapError as there.  So do witnesses
+    holding more than MAX_ENUM_LETTERS letters in all.
     """
     require_valid(gm)
     box = [int_tuple(interval, "box bounds") for interval in box]
@@ -216,34 +265,68 @@ def enumerate_support(
         count *= hi - lo + 1
     if count > cap:
         raise ResourceCapError(f"box holds {count} candidate points, cap is {cap}")
+    # the most letters a box point has: a point can pass the witness cap only
+    # if the box as a whole could
+    check_points = sum(max(-lo, hi) for lo, hi in box) > MAX_WITNESS_LETTERS
+    last = gm.m - 1
+    cliff = [gm.rows[r] for r in gm.sig.clifford_indices]
     found = []
-    shared: dict[tuple[int, ...], tuple[list, set]] = {}  # sign pattern -> letters, memo
-    for g in _contained_points(gm, box):
-        if even_lattice and sum(g) % 2 != 0:
-            continue
-        _require_witness_size(g)
-        pattern = tuple((v > 0) - (v < 0) for v in g)
-        if pattern not in shared:
-            shared[pattern] = (_letters(gm, g), set())
-        letters, failed = shared[pattern]
-        witness = _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], failed)
-        if witness is not None:
+    letters_out = 0
+    patterns: dict[tuple[int, ...], tuple] = {}  # sign pattern -> _pattern(gm, g)
+    for head, values, partial in _contained_branches(gm, box, cliff):
+        # done once for all points of the branch: the signs, the parity and
+        # the witness of its first m - 1 entries
+        head_signs = tuple([(v > 0) - (v < 0) for v in head])
+        odd = sum(head) & 1
+        head_order = None  # built after a point passes the witness cap
+        for v in values:
+            if even_lattice and (odd + v) & 1:
+                continue
+            g = head + (v,)
+            if check_points:
+                _require_witness_size(g)
+            sign = (v > 0) - (v < 0)
+            pattern = head_signs + (sign,)
+            entry = patterns.get(pattern)
+            if entry is None:
+                entry = patterns[pattern] = _pattern(gm, g)
+            letters, failed = entry
+            if failed is None:
+                if head_order is None:
+                    head_order = _column_order(head)
+                witness = head_order + ((last, sign),) * abs(v)
+            else:
+                # the Clifford rows of gamma(g), each in {-1, 0, 1}
+                image = [p + row[last] * v for p, row in zip(partial, cliff)]
+                counts = [abs(g[c]) for c, _, _, _ in letters]
+                witness = _arrange(letters, counts, failed, *_sign_masks(image))
+                if witness is None:
+                    continue
+            letters_out += len(witness)
+            if letters_out > MAX_ENUM_LETTERS:
+                raise ResourceCapError(
+                    f"witnesses in the box exceed the enumeration cap of {MAX_ENUM_LETTERS} letters"
+                )
             found.append((g, witness))
     return found
 
 
-def _contained_points(gm: GammaMatrix, box: list[tuple[int, int]]):
-    """Box points whose image has every Clifford row in [-1, 1], in the
-    order of ``itertools.product``.
+def _contained_branches(gm: GammaMatrix, box: list[tuple[int, int]], cliff):
+    """The contained box points, those whose image has every Clifford row in
+    [-1, 1], by branch: per choice of the first m - 1 entries that leaves
+    some contained point, the tuple of those entries, the range of last
+    entries that complete it to a contained point, and the partial image of
+    each Clifford row (``cliff``) over the first m - 1 columns.  Points come
+    in the order of ``itertools.product``.
 
     Columns are fixed left to right.  With the partial image of each
     Clifford row and the least and greatest sum the remaining columns can
     add to it, each column gets the interval of values that still let every
     row end in [-1, 1]; a branch whose interval is empty is cut.  On the
-    last column the bounds are exact, so every point yielded is contained.
+    last column the bounds are exact.
     """
     m = gm.m
-    cliff = [gm.rows[r] for r in gm.sig.clifford_indices]
+    last = m - 1
     # rest_lo[c][k], rest_hi[c][k]: range of row k's sum over columns c..m-1
     rest_lo = [[0] * len(cliff) for _ in range(m + 1)]
     rest_hi = [[0] * len(cliff) for _ in range(m + 1)]
@@ -268,25 +351,29 @@ def _contained_points(gm: GammaMatrix, box: list[tuple[int, int]]):
             lo, hi = max(lo, low), min(hi, high)
         return range(lo, hi + 1)
 
-    g = [0] * m
+    head = [0] * last
     partials = [[0] * len(cliff) for _ in range(m)]  # image rows before column c
+    if last == 0:
+        span = values(0, partials[0])
+        if span:
+            yield (), span, partials[0]
+        return
     pending = [iter(values(0, partials[0]))]
     while pending:
         c = len(pending) - 1
-        if c == m - 1:
-            for v in pending.pop():
-                g[c] = v
-                yield tuple(g)
-            continue
         v = next(pending[-1], None)
         if v is None:
             pending.pop()
             continue
-        g[c] = v
+        head[c] = v
         partial = partials[c + 1]
         for k, row in enumerate(cliff):
             partial[k] = partials[c][k] + row[c] * v
-        pending.append(iter(values(c + 1, partial)))
+        span = values(c + 1, partial)
+        if c + 1 < last:
+            pending.append(iter(span))
+        elif span:
+            yield tuple(head), span, partial
 
 
 def oracle_membership(gm: GammaMatrix, g: Sequence[int], cap: int = DEFAULT_ORACLE_CAP) -> bool:
@@ -452,7 +539,8 @@ def injectivity_report(
     a projected image is zero exactly when the plain image is, and the zero
     fiber is read off the plain images.  The points come from
     ``enumerate_support``, so a contained point whose witness would hold more
-    than MAX_WITNESS_LETTERS letters raises ResourceCapError here too.
+    than MAX_WITNESS_LETTERS letters, or witnesses holding more than
+    MAX_ENUM_LETTERS letters in all, raise ResourceCapError here too.
     """
     rank, kernel = gamma_rank_kernel(gm)
     pts = [g for g, _ in enumerate_support(gm, box, cap=cap)]

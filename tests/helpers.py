@@ -25,7 +25,15 @@ case by case, so it does not read the library's relation table.
 ``product_eval_word`` is the fourth: it multiplies a word's generator
 images letter by letter with ``SuperElement`` products, the way
 ``eval_word`` did before it normalized the whole word at once.
+
+``exhaustive_witness`` is the fifth: it searches the orderings of a degree
+vector's letters with no first-touch rule, so it enters and memoizes every
+subtree that starts a Clifford row with the wrong sign, the way
+``is_in_support`` did before.  Its witness is still the least admissible
+column sequence, so the two must agree.
 """
+
+import itertools
 
 from fractions import Fraction
 
@@ -382,3 +390,80 @@ def product_eval_word(gm, word):
         image = image * phi_generator(gm, col, kind)
         degree[col] += 1 if kind == "X" else -1
     return tuple(degree), image
+
+
+def _letters(gm, g):
+    """(column, sign, plus, minus) per nonzero column of g: bit k of plus
+    (minus) is set when the signed column is 1 (-1) on the k-th Clifford row."""
+    clifford = [r for r in range(gm.n) if gm.sig.is_clifford(r)]
+    letters = []
+    for c, v in enumerate(g):
+        if v:
+            sign = 1 if v > 0 else -1
+            entries = [sign * gm.rows[r][c] for r in clifford]
+            plus = sum(1 << k for k, e in enumerate(entries) if e > 0)
+            minus = sum(1 << k for k, e in enumerate(entries) if e < 0)
+            letters.append((c, sign, plus, minus))
+    return letters
+
+
+def exhaustive_arrange(letters, counts, failed):
+    """Least admissible ordering of ``counts[i]`` copies of each letter, or
+    None, with no first-touch rule; ``failed`` collects the exhausted states
+    (remaining counts, rows whose last sign is 1, rows whose last sign is -1)."""
+    if not any(plus or minus for _, _, plus, minus in letters):
+        witness = []
+        for (c, s, _, _), k in zip(letters, counts):
+            witness += [(c, s)] * k
+        return tuple(witness)
+    total = sum(counts)
+    path = []
+    stack = [(0, 0, 0)]
+    while stack:
+        if len(path) == total:
+            return tuple(letters[idx][:2] for idx in path)
+        last_plus, last_minus, start = stack[-1]
+        for idx in range(start, len(letters)):
+            _, _, plus, minus = letters[idx]
+            if not counts[idx] or plus & last_plus or minus & last_minus:
+                continue
+            counts[idx] -= 1
+            keep = ~(plus | minus)
+            new_plus, new_minus = last_plus & keep | plus, last_minus & keep | minus
+            if (tuple(counts), new_plus, new_minus) not in failed:
+                stack[-1] = (last_plus, last_minus, idx + 1)
+                stack.append((new_plus, new_minus, 0))
+                path.append(idx)
+                break
+            counts[idx] += 1
+        else:
+            stack.pop()
+            failed.add((tuple(counts), last_plus, last_minus))
+            if path:
+                counts[path.pop()] += 1
+    return None
+
+
+def exhaustive_witness(gm, g, failed=None):
+    """The witness of g (None for a non-member) by ``exhaustive_arrange``,
+    after the Clifford containment test; ``failed`` may be shared between
+    points with the same sign pattern."""
+    image = gm.apply(g)
+    if any(abs(image[r]) > 1 for r in range(gm.n) if gm.sig.is_clifford(r)):
+        return None
+    letters = _letters(gm, g)
+    return exhaustive_arrange(letters, [abs(v) for v in g if v], set() if failed is None else failed)
+
+
+def exhaustive_scan(gm, box, even_lattice=False):
+    """(members with witnesses, exhausted states) of a box, every point in
+    ``itertools.product`` order, one memo per sign pattern."""
+    found, memos = [], {}
+    for g in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        if even_lattice and sum(g) % 2:
+            continue
+        failed = memos.setdefault(tuple((v > 0) - (v < 0) for v in g), set())
+        witness = exhaustive_witness(gm, g, failed)
+        if witness is not None:
+            found.append((g, witness))
+    return found, sum(map(len, memos.values()))

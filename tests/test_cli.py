@@ -543,3 +543,35 @@ def test_lie_check_calibrate_checks_relations_once(monkeypatch, capsys):
         calls.clear()
         assert run(argv) == 0
         assert len(calls) == 1
+
+
+def test_enumeration_letter_cap_is_a_resource_error(matrix_file, capsys):
+    path = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1]]})
+    assert run(["support", "enum", path, "--box", "0:3000"]) == 2
+    _one_error_line(capsys, "witnesses in the box exceed the enumeration cap of 1000000 letters")
+    assert run(["support", "enum", path, "--box", "0:1413"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1414
+
+
+WEYL_100 = {
+    "sign": "minus", "parity": [0, 0, 0],
+    "gamma": [[100, -100, 0], [0, 100, -100], [-100, 0, 100]],
+}
+
+
+def test_t_term_cap_is_a_resource_error(matrix_file, capsys):
+    path = matrix_file(WEYL_100)
+    for argv in (["datum", path], ["--format", "json", "datum", path]):
+        assert run(argv) == 2
+        _one_error_line(capsys, "t_1 has 10100 terms, over the term cap 10000")
+    # consistency never expands t; stdout recorded before the cap, the same
+    # as on WIDE_WEYL, whose entries have the same signs
+    assert run(["consistency", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fcfa517af2d64a9708b6cecabaa22ec1ce0bfdbff74eab3d5fdb80762673f85f"
+    )
+    at_cap = matrix_file({"sign": "minus", "parity": [0, 0], "gamma": [[100], [-99]]}, "at.json")
+    assert run(["--format", "json", "datum", at_cap]) == 0
+    (t,) = json.loads(capsys.readouterr().out)["t"]
+    assert t.count(" + ") + t.count(" - ") == 9999

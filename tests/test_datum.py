@@ -6,7 +6,7 @@ import pytest
 
 import superweyl.basering
 import superweyl.datum
-from superweyl.datum import MAX_ENTRY, MAX_WORD_DEGREE
+from superweyl.datum import MAX_ENTRY, MAX_T_TERMS, MAX_WORD_DEGREE
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
@@ -502,6 +502,37 @@ def test_derive_t_matches_factor_products():
                 for s in range(k) if k > 0 else range(-1, k - 1, -1):
                     t = t * (u(sig, r) + BaseRingElement.const(sig, s))
             assert derive_t(gm, c) == t
+
+
+def test_t_term_count_is_known_before_expansion():
+    # a row factor has a nonzero coefficient per root, plus one for k <= 0
+    rng = random.Random(17)
+    for _ in range(100):
+        gm = widen_weyl_entries(random_valid_gamma(rng, max_n=4, max_m=3), rng, top=9)
+        for c in range(gm.m):
+            expected = 1
+            for k in gm.column(c):
+                expected *= k if k > 0 else 1 - k
+            assert len(derive_t(gm, c).terms) == expected
+
+
+def test_t_term_cap_boundary(monkeypatch):
+    sig = Signature("minus", (0, 0))
+    # u (u + 1) ... (u + 99) and (u - 1) ... (u - 99): 100 nonzero coefficients each
+    assert len(derive_t(GammaMatrix(sig, ((100,), (-99,))), 0).terms) == MAX_T_TERMS
+
+    def refuse(*args):
+        raise AssertionError("a row factor was expanded")
+
+    monkeypatch.setattr(superweyl.datum, "_row_factor", refuse)
+    over = GammaMatrix(Signature("minus", (0, 0, 0)), ((1, 0), (0, 100), (0, -100)))
+    with pytest.raises(ResourceCapError, match="t_2 has 10100 terms, over the term cap 10000"):
+        derive_t(over, 1)
+    monkeypatch.undo()
+    datum = derive_datum(over)
+    with pytest.raises(ResourceCapError, match="t_2 has 10100 terms"):
+        datum.t
+    assert consistency_check(datum).all_pass
 
 
 def test_json_round_trip():

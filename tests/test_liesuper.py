@@ -401,3 +401,17 @@ def test_lie_rank_is_capped(capsys):
                 build(family, p, q)
     assert run(["lie", "check", "gl", "40", "25"]) == 2
     assert capsys.readouterr() == ("", "error: rank p + q = 65 exceeds the Lie rank cap 64\n")
+
+
+def test_text_lie_check_renders_no_json_payload(monkeypatch, capsys):
+    argv = ["lie", "check", "gl", "3", "2"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError("the JSON payload was built")
+
+    monkeypatch.setattr(liesuper.ResidualReport, "to_dict", refuse)
+    monkeypatch.setattr(liesuper.TriangleReport, "to_dict", refuse)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == text

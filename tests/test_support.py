@@ -22,11 +22,33 @@ from superweyl import (
     verify_witness,
 )
 from superweyl.cli import run
-from helpers import inj_example_matrices, random_degree_vector, random_valid_gamma
+from helpers import (
+    bidiagonal_matrix,
+    exhaustive_scan,
+    exhaustive_witness,
+    inj_example_matrices,
+    random_degree_vector,
+    random_valid_gamma,
+)
 
 EX_A = GammaMatrix(Signature("minus", (1,)), ((1, -1),))
 EX_B = GammaMatrix(Signature("minus", (1, 1)), ((1, 0), (1, -1)))
 EX_C = GammaMatrix(Signature("minus", (0, 1, 1)), ((1, 3, 0), (1, 0, -1), (1, -1, 1)))
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+# row 1 Clifford, row 2 Weyl; (17s, 16s, -19s, 17s + 1) is a member for every s
+MIXED = GammaMatrix(Signature("minus", (1, 0)), ((1, 0, 0, -1), (0, -1, 1, 0)))
+
+
+def all_clifford_bidiagonal(n):
+    return bidiagonal_matrix(Signature("minus", (1,) * n), n, last=1)
+
+
+def all_weyl_bidiagonal(n):
+    return bidiagonal_matrix(Signature("minus", (0,) * n), n, last=1)
+
+
+def sample(name):
+    return gamma_from_dict(json.loads((SAMPLES / f"{name}.json").read_text()))
 
 
 def test_band_support():
@@ -159,6 +181,14 @@ def test_witness_cap_boundary():
     assert is_in_support(EX_A, (cap, -cap)) is None
 
 
+def test_huge_head_entry_is_refused_before_any_witness_is_built():
+    # the branch head (10**12,) alone would be a witness of 10**12 letters
+    weyl = GammaMatrix(Signature("minus", (0, 0)), ((1, 0), (0, 1)))
+    for last, first_size in (((0, 0), 10**12), ((-1, 1), 10**12 + 1)):
+        with pytest.raises(ResourceCapError, match=rf"\|g\| = {first_size} exceeds the witness cap"):
+            enumerate_support(weyl, [(10**12, 10**12), last])
+
+
 def reference_scan(gm, box, even_lattice=False):
     """Every box point in product order, decided one at a time."""
     found = []
@@ -212,7 +242,7 @@ def test_box_cap_checked_before_any_point(monkeypatch):
     def refuse(*args):
         raise AssertionError("a point was scanned")
 
-    monkeypatch.setattr(superweyl.support, "_contained_points", refuse)
+    monkeypatch.setattr(superweyl.support, "_contained_branches", refuse)
     monkeypatch.setattr(superweyl.support, "_arrange", refuse)
     with pytest.raises(ResourceCapError, match="box holds 40401 candidate points"):
         enumerate_support(EX_A, [(-100, 100), (-100, 100)], cap=1000)
@@ -301,3 +331,114 @@ def test_injectivity_fails_for_rank_deficient_band():
     assert not report.globally_injective
     assert not report.gamma_distinct_on_box
     assert not report.passed
+
+
+def count_exhausted_states(monkeypatch, call):
+    """(result of call(), states the search exhausted): the sizes of every
+    failed-state memo the search was handed."""
+    memos = {}
+    search = superweyl.support._arrange
+
+    def recording(letters, counts, failed, *masks):
+        memos[id(failed)] = failed
+        return search(letters, counts, failed, *masks)
+
+    monkeypatch.setattr(superweyl.support, "_arrange", recording)
+    result = call()
+    monkeypatch.setattr(superweyl.support, "_arrange", search)
+    return result, sum(map(len, memos.values()))
+
+
+@pytest.mark.parametrize("even_lattice", [False, True], ids=["all", "even"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_witnesses_match_exhaustive_search(sign, even_lattice):
+    rng = random.Random(f"first-touch-{sign}-{even_lattice}")
+    for _ in range(100):
+        gm = random_valid_gamma(rng, max_n=5, max_m=4, sign=sign)
+        radius = 3 if gm.m <= 3 else 2
+        box = [(-radius, radius)] * gm.m
+        expected, _ = exhaustive_scan(gm, box, even_lattice)
+        assert enumerate_support(gm, box, even_lattice) == expected
+        for _ in range(5):
+            g = random_degree_vector(rng, gm.m, max_total=8)
+            assert is_in_support(gm, g) == exhaustive_witness(gm, g)
+
+
+@pytest.mark.parametrize("gm, radius, members, exhausted", [
+    (all_clifford_bidiagonal(5), 3, 229, 2070),
+    (all_weyl_bidiagonal(4), 3, 2401, 0),
+    (sample("three_column"), 6, 59, 146),
+    (sample("nine_point"), 20, 9, 4),
+], ids=["clifford5", "weyl4", "three_column", "nine_point"])
+def test_pinned_box_scans_match_exhaustive_search(monkeypatch, gm, radius, members, exhausted):
+    box = [(-radius, radius)] * gm.m
+    expected, states = exhaustive_scan(gm, box)
+    assert len(expected) == members and states == exhausted
+    found, states = count_exhausted_states(monkeypatch, lambda: enumerate_support(gm, box))
+    assert found == expected and states == 0
+
+
+def test_first_touch_exhausts_no_state(monkeypatch):
+    for n in (5, 6):
+        gm = all_clifford_bidiagonal(n)
+        _, states = count_exhausted_states(
+            monkeypatch, lambda: enumerate_support(gm, [(-3, 3)] * n))
+        assert states == 0
+    for s in (1, 2):
+        g = (17 * s, 16 * s, -19 * s, 17 * s + 1)
+        witness, states = count_exhausted_states(monkeypatch, lambda: is_in_support(MIXED, g))
+        assert states == 0 and verify_witness(MIXED, g, witness)
+    failed = set()
+    assert exhaustive_witness(MIXED, (17, 16, -19, 18), failed) == is_in_support(MIXED, (17, 16, -19, 18))
+    assert failed  # the search without the rule backs off from whole subtrees
+
+
+def test_search_still_backtracks(monkeypatch):
+    # all rows Clifford: the first touch fixes the first sign of every row,
+    # yet one state of these members still fails and is remembered
+    gm = GammaMatrix(Signature("minus", (1, 1, 1)), ((0, -1, 1), (1, -1, -1), (-1, 0, 1)))
+    for g in ((2, 1, 1), (-2, -1, -1)):
+        failed = set()
+        expected = exhaustive_witness(gm, g, failed)
+        witness, states = count_exhausted_states(monkeypatch, lambda: is_in_support(gm, g))
+        assert witness is not None and witness == expected
+        assert states == len(failed) == 1
+
+
+def test_witness_check_runs_only_when_the_box_could_pass_the_cap(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a point was checked against the witness cap")
+
+    monkeypatch.setattr(superweyl.support, "_require_witness_size", refuse)
+    cap = superweyl.support.MAX_WITNESS_LETTERS
+    weyl = GammaMatrix(Signature("minus", (0, 0)), ((1, 0), (0, 1)))
+    for gm, box in ((all_weyl_bidiagonal(4), [(-3, 3)] * 4),
+                    (all_clifford_bidiagonal(5), [(-3, 3)] * 5),
+                    (weyl, [(cap - 2, cap - 1), (-1, -1)])):
+        assert enumerate_support(gm, box) == exhaustive_scan(gm, box)[0]
+    with pytest.raises(AssertionError, match="checked against the witness cap"):
+        enumerate_support(weyl, [(cap - 1, cap), (-1, -1)])
+
+
+def test_enumeration_letter_cap_boundary(monkeypatch):
+    weyl = GammaMatrix(Signature("minus", (0,)), ((1,),))
+    cap = superweyl.support.MAX_ENUM_LETTERS
+    # ten witnesses of 99,991..100,000 letters: 999,955 letters in all
+    top = superweyl.support.MAX_WITNESS_LETTERS
+    found = enumerate_support(weyl, [(top - 9, top)])
+    assert sum(len(w) for _, w in found) == 999_955 <= cap
+    with pytest.raises(ResourceCapError, match=f"exceed the enumeration cap of {cap} letters"):
+        enumerate_support(weyl, [(top - 10, top)])
+    monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 10)
+    assert [g for g, _ in enumerate_support(weyl, [(0, 4)])] == [(0,), (1,), (2,), (3,), (4,)]
+    for call in (enumerate_support, injectivity_report):
+        with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 10 letters"):
+            call(weyl, [(0, 5)])
+    # only members count: the 19 members of this box hold 44 letters, and
+    # its two contained non-members (-1, -1, -1) and (1, 1, 1) 3 letters each
+    gm = GammaMatrix(Signature("minus", (1, 1, 1)), ((0, -1, 1), (1, -1, -1), (-1, 0, 1)))
+    monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 44)
+    assert len(enumerate_support(gm, [(-2, 2)] * 3)) == 19
+    monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 43)
+    with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 43 letters"):
+        enumerate_support(gm, [(-2, 2)] * 3)
