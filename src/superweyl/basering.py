@@ -160,16 +160,16 @@ def project_zero(a: SuperElement) -> BaseRingElement:
     """Degree-zero component of a superalgebra element, written in the u_i.
 
     Each block x_i^k d_i^k becomes the polynomial (u_i - 1)...(u_i - k)
-    (1 - u_i on a Clifford index) whose coefficients ``_xd_coeffs`` lists;
-    per-index degree-zero blocks commute, so a monomial expands to the outer
-    product of those integer coefficient lists.
+    (1 - u_i on a Clifford index), with the roots ``_roots(-k)``; per-index
+    degree-zero blocks commute, so a monomial expands to the outer product
+    of those integer coefficient lists.
     """
     sig = a.sig
     parts = []
     for mono, coeff in a.terms.items():
         if any(x != d for x, d in mono):
             continue
-        factors = (_xd_coeffs(sig.is_clifford(i), k) for i, (k, _) in enumerate(mono))
+        factors = (_expand_roots(sig.is_clifford(i), _roots(-k)) for i, (k, _) in enumerate(mono))
         parts.append((coeff, _outer_product(factors)))
     return BaseRingElement._raw(sig, _scaled_sum(parts))
 
@@ -198,9 +198,11 @@ def _scaled_sum(parts) -> dict:
     return {key: Fraction(v, den) for key, v in acc.items()}
 
 
-def _xd_coeffs(clifford: bool, k: int) -> list[int]:
-    """Coefficients of x^k d^k = (u - 1)...(u - k) in u = d x, lowest power first."""
-    return _expand_roots(clifford, range(1, k + 1))
+def _roots(k: int) -> range:
+    """Roots in u = d x of the paired block of exponent k: of d^k x^k =
+    u (u + 1)...(u + k - 1) for k > 0, of x^|k| d^|k| = (u - 1)...(u - |k|)
+    for k < 0, and on a Clifford index the point where u or 1 - u vanishes."""
+    return range(1 - k, 1) if k > 0 else range(1, 1 - k)
 
 
 def _expand_roots(clifford: bool, roots) -> list[int]:

@@ -79,9 +79,12 @@ def _parse_box(text: str, m: int) -> list[tuple[int, int]]:
         if not sep:
             raise _UsageError("box intervals must look like lo:hi")
         try:
-            box.append((int(lo), int(hi)))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise _UsageError("box bounds must be integers")
+        if lo > hi:
+            raise _UsageError("box intervals must satisfy lo <= hi")
+        box.append((lo, hi))
     if len(box) != m:
         raise _UsageError(f"box needs {m} intervals, got {len(box)}")
     return box
@@ -118,15 +121,16 @@ def _cmd_validate(args) -> int:
 def _cmd_datum(args) -> int:
     gm = _load_matrix(args.matrix)
     datum = derive_datum(gm)
+    ts = [str(t) for t in datum.t]
     payload = {
-        "t": [str(t) for t in datum.t],
+        "t": ts,
         "sigma": [list(col) for col in datum.sigma],
         "mu": [list(row) for row in datum.mu],
         "p": list(datum.pparity),
         "p_prime": list(datum.pprime),
     }
     lines = []
-    for i, t in enumerate(datum.t):
+    for i, t in enumerate(ts):
         lines.append(f"t[{i + 1}] = {t}")
     for i, col in enumerate(datum.sigma):
         lines.append(f"sigma[{i + 1}] = {_sigma_str(col)}")
@@ -164,8 +168,8 @@ def _cmd_phi(args) -> int:
     gm = _load_matrix(args.matrix)
     if not 1 <= args.index <= gm.m:
         raise _UsageError(f"column must be in 1..{gm.m}")
-    image = phi_generator(gm, args.index - 1, args.kind)
-    payload = {"column": args.index, "kind": args.kind, "image": str(image)}
+    image = str(phi_generator(gm, args.index - 1, args.kind))
+    payload = {"column": args.index, "kind": args.kind, "image": image}
     _emit(args, payload, [f"phi({args.kind}{args.index}) = {image}"])
     return EXIT_PASS
 
@@ -177,15 +181,16 @@ def _cmd_eval(args) -> int:
         if col >= gm.m:
             raise _UsageError(f"column {col + 1} out of range, matrix has {gm.m}")
     graded = eval_word(gm, word)
+    image = str(graded.image)
     payload = {
         "word": [f"{k}{c + 1}" for k, c in word],
         "degree": list(graded.degree),
         "zero": graded.is_zero,
-        "image": str(graded.image),
+        "image": image,
     }
     _emit(args, payload, [
         f"degree = {list(graded.degree)}",
-        f"image = {graded.image}",
+        f"image = {image}",
     ])
     return EXIT_PASS
 

@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, _word_terms, int_tuple
-from .basering import BaseRingElement, _expand_roots, _outer_product, project_zero
-from .errors import InvalidGammaError, ResourceCapError, SignatureMismatchError
+from .basering import BaseRingElement, _expand_roots, _outer_product, _roots, project_zero
+from .errors import InvalidGammaError, ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,8 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
         terms *= _factor_terms(k)
     if terms > MAX_T_TERMS:
         raise ResourceCapError(f"t_{col + 1} has {terms} terms, over the term cap {MAX_T_TERMS}")
-    factors = (_row_factor(sig.is_clifford(r), k) for r, k in enumerate(column))
+    factors = (_expand_roots(sig.is_clifford(r), _roots(k)) for r, k in enumerate(column))
     return BaseRingElement._raw(sig, dict(_outer_product(factors)))
-
-
-def _roots(k: int) -> range:
-    """Roots of the factor entry k puts on its row of t_i: of d^k x^k =
-    u (u + 1)...(u + k - 1) for k > 0, of x^|k| d^|k| = (u - 1)...(u - |k|)
-    for k < 0, and on a Clifford row the point where u or 1 - u vanishes."""
-    return range(1 - k, 1) if k > 0 else range(1, 1 - k)
 
 
 def _factor_terms(k: int) -> int:
@@ -224,12 +217,6 @@ def _factor_terms(k: int) -> int:
     than its |k| roots, less the constant term when 0 is a root (k > 0).  The
     other roots share one sign, so no other coefficient vanishes."""
     return len(_roots(k)) + (k <= 0)
-
-
-def _row_factor(clifford: bool, k: int) -> list[int]:
-    """Integer coefficients, lowest power first, of the factor that entry k
-    puts on its row of t_i; [1] for k = 0."""
-    return _expand_roots(clifford, _roots(k))
 
 
 def derive_mu(gm: GammaMatrix):
@@ -327,6 +314,12 @@ class ConsistencyReport:
         }
 
 
+# Most pair and triple instances one check may run: m(m-1)/2 + m(m-1)(m-2)/2
+# at m = 64, the widest zeta matrix a Lie preset builds.  The 128-column
+# all-Clifford matrix has 1,032,256 instances and prints 24 MB.
+MAX_CONSISTENCY_INSTANCES = 127_008
+
+
 def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     """Evaluate the pair and triple identities exactly in the base ring.
 
@@ -345,10 +338,19 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     On a Clifford row (u^2 = u) an odd shift maps the root r to 1 - r, and
     a product takes the union, zero once it holds both 0 and 1.  An
     instance costs O(n) root operations over the rows its columns touch,
-    with no polynomial arithmetic, and there are O(m^3) instances.
+    with no polynomial arithmetic, and there are O(m^3) instances.  More
+    than MAX_CONSISTENCY_INSTANCES of them raise ResourceCapError before any
+    is checked.
     """
     gm, sigma, mu = datum.gm, datum.sigma, datum.mu
     m = gm.m
+    pairs = m * (m - 1) // 2
+    count = pairs + pairs * (m - 2)  # each pair {i, k} once more per j outside it
+    if count > MAX_CONSISTENCY_INSTANCES:
+        raise ResourceCapError(
+            f"{m} columns give {count} consistency instances, over the cap "
+            f"{MAX_CONSISTENCY_INSTANCES}"
+        )
     cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
     t = [{r: tuple(_roots(k)) for r, k in enumerate(gm.column(c)) if k} for c in range(m)]
 
@@ -489,6 +491,4 @@ def eval_word(gm: GammaMatrix, word: Iterable[tuple[str, int]]) -> GradedElement
 
 def gradation_pair(a: GradedElement, b: GradedElement) -> BaseRingElement:
     """Degree-zero component of the product of two graded elements."""
-    if a.image.sig != b.image.sig:
-        raise SignatureMismatchError("operands live in different signatures")
     return project_zero(a.image * b.image)

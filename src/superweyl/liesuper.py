@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple, Optional
 from .algebra import Signature, SuperElement, _exact, _mono_product, accumulate_terms
 from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, phi_generator, require_valid
-from .errors import ResourceCapError, SignatureMismatchError
+from .errors import ResourceCapError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
 # Largest p + q a preset may have: checking a presentation costs about
@@ -49,8 +49,6 @@ MAX_LIE_RANK = 64
 
 def super_bracket(a: SuperElement, b: SuperElement, pa: int, pb: int) -> SuperElement:
     """ab - (-1)^(pa*pb) ba for declared parities pa, pb."""
-    if a.sig != b.sig:
-        raise SignatureMismatchError("operands live in different signatures")
     if pa & pb:
         return a * b + b * a
     return a * b - b * a

@@ -29,12 +29,12 @@ the witness is unchanged (see ``_arrange``).
 - A point none of whose letters touches a Clifford row needs no search:
   no state can fail, and the witness is its letters in column order.
 
-Work that does not depend on the point is done once.  The witness cap is
-checked against the box, and per point only when the box could pass it.
-The letters, and whether they touch a Clifford row, are found once per sign
-pattern.  The walk hands over its points by branch, all choices of the
-last entry at once, so the signs, the parity and the column-order witness
-of the first m - 1 entries are found once per branch.
+Work that does not depend on the point is done once.  The letters, and
+whether they touch a Clifford row, are found once per sign pattern.  The
+walk hands over its points by branch, all choices of the last entry at
+once, so the signs, the parity, the letter count and the column-order
+witness of the first m - 1 entries are found once per branch; a point's
+letter count, checked against the witness cap, is that plus |g_m|.
 
 ``oracle_membership`` decides the same question by exhaustively multiplying
 generator images over all arrangements; it shares no logic with the pattern
@@ -265,25 +265,25 @@ def enumerate_support(
         count *= hi - lo + 1
     if count > cap:
         raise ResourceCapError(f"box holds {count} candidate points, cap is {cap}")
-    # the most letters a box point has: a point can pass the witness cap only
-    # if the box as a whole could
-    check_points = sum(max(-lo, hi) for lo, hi in box) > MAX_WITNESS_LETTERS
     last = gm.m - 1
     cliff = [gm.rows[r] for r in gm.sig.clifford_indices]
     found = []
     letters_out = 0
     patterns: dict[tuple[int, ...], tuple] = {}  # sign pattern -> _pattern(gm, g)
     for head, values, partial in _contained_branches(gm, box, cliff):
-        # done once for all points of the branch: the signs, the parity and
-        # the witness of its first m - 1 entries
+        # done once for all points of the branch: the signs, the parity, the
+        # letter count and the witness of its first m - 1 entries
         head_signs = tuple([(v > 0) - (v < 0) for v in head])
         odd = sum(head) & 1
+        head_letters = sum(map(abs, head))
         head_order = None  # built after a point passes the witness cap
         for v in values:
             if even_lattice and (odd + v) & 1:
                 continue
             g = head + (v,)
-            if check_points:
+            size = abs(v)
+            point_letters = head_letters + size
+            if point_letters > MAX_WITNESS_LETTERS:
                 _require_witness_size(g)
             sign = (v > 0) - (v < 0)
             pattern = head_signs + (sign,)
@@ -294,7 +294,7 @@ def enumerate_support(
             if failed is None:
                 if head_order is None:
                     head_order = _column_order(head)
-                witness = head_order + ((last, sign),) * abs(v)
+                witness = head_order + ((last, sign),) * size
             else:
                 # the Clifford rows of gamma(g), each in {-1, 0, 1}
                 image = [p + row[last] * v for p, row in zip(partial, cliff)]
@@ -302,7 +302,7 @@ def enumerate_support(
                 witness = _arrange(letters, counts, failed, *_sign_masks(image))
                 if witness is None:
                     continue
-            letters_out += len(witness)
+            letters_out += point_letters
             if letters_out > MAX_ENUM_LETTERS:
                 raise ResourceCapError(
                     f"witnesses in the box exceed the enumeration cap of {MAX_ENUM_LETTERS} letters"

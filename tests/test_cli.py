@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import superweyl.cli
 import superweyl.datum
 import superweyl.liesuper
 from superweyl import gamma_to_dict, zeta_matrix
+from superweyl.algebra import SparseElement
 from superweyl.cli import run
 
 ID11 = {"sign": "minus", "parity": [0, 1], "gamma": [[1, 0], [0, 1]]}
@@ -575,3 +577,55 @@ def test_t_term_cap_is_a_resource_error(matrix_file, capsys):
     assert run(["--format", "json", "datum", at_cap]) == 0
     (t,) = json.loads(capsys.readouterr().out)["t"]
     assert t.count(" + ") + t.count(" - ") == 9999
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, renders", [
+    (["datum", "{path}"], 3),
+    (["phi", "{path}", "-i", "2", "--kind", "Y"], 1),
+    (["eval", "{path}", "-w", "Y1,X2,X1"], 1),
+], ids=["datum", "phi", "eval"])
+def test_each_element_is_rendered_once(fmt, argv, renders, matrix_file, monkeypatch, capsys):
+    path = matrix_file(EX_C)
+    calls = []
+    render = SparseElement.__str__
+
+    def counting(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(SparseElement, "__str__", counting)
+    assert run(fmt + [a.format(path=path) for a in argv]) == 0
+    assert len(calls) == renders
+
+
+@pytest.mark.parametrize("argv", [
+    ["support", "enum", "{one}", "--box", "3:1"],
+    ["support", "enum", "{two}", "--box", "0:1,3:1"],
+    ["injectivity", "{one}", "--box", "3:1"],
+    ["injectivity", "{two}", "--box", "3:1,0:1"],
+])
+def test_reversed_box_interval_is_a_usage_error(argv, matrix_file, capsys):
+    paths = {
+        "one": matrix_file({"sign": "minus", "parity": [0], "gamma": [[1]]}, "one.json"),
+        "two": matrix_file(EX_B, "two.json"),
+    }
+    assert run([a.format(**paths) for a in argv]) == 2
+    _one_error_line(capsys, "box intervals must satisfy lo <= hi")
+    # a one-point interval still answers
+    assert run(["support", "enum", paths["one"], "--box", "1:1"]) == 0
+
+
+def test_consistency_instance_cap_is_a_resource_error(matrix_file, capsys):
+    # 65 distinct +-1 columns on seven Clifford rows: a valid matrix whose
+    # 65 * 64 / 2 * 64 = 133,120 instances pass the cap
+    columns = list(itertools.product((1, -1), repeat=7))[:65]
+    path = matrix_file({"sign": "minus", "parity": [1] * 7,
+                        "gamma": [[col[r] for col in columns] for r in range(7)]})
+    assert run(["validate", path]) == 0
+    capsys.readouterr()
+    for argv in (["consistency", path], ["--format", "json", "consistency", path]):
+        assert run(argv) == 2
+        _one_error_line(
+            capsys, "65 columns give 133120 consistency instances, over the cap 127008"
+        )

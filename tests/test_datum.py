@@ -6,13 +6,14 @@ import pytest
 
 import superweyl.basering
 import superweyl.datum
-from superweyl.datum import MAX_ENTRY, MAX_T_TERMS, MAX_WORD_DEGREE
+from superweyl.datum import MAX_CONSISTENCY_INSTANCES, MAX_ENTRY, MAX_T_TERMS, MAX_WORD_DEGREE
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
     InvalidGammaError,
     ResourceCapError,
     Signature,
+    SignatureMismatchError,
     SuperElement,
     consistency_check,
     derive_datum,
@@ -35,7 +36,7 @@ from superweyl import (
     word_element,
     zeta_matrix,
 )
-from superweyl.liesuper import calibrate, check_triangle, preset
+from superweyl.liesuper import calibrate, check_triangle, preset, super_bracket
 from helpers import (
     bidiagonal_matrix,
     closed_form_consistency,
@@ -442,10 +443,8 @@ def test_consistency_check_does_not_expand(monkeypatch):
     monkeypatch.setattr(superweyl.basering, "tau_apply", refuse)
     monkeypatch.setattr(superweyl.basering, "tau_single", refuse)
     monkeypatch.setattr(BaseRingElement, "__mul__", refuse)
-    monkeypatch.setattr(superweyl.datum, "_row_factor", refuse)
     monkeypatch.setattr(superweyl.datum, "_expand_roots", refuse)
     monkeypatch.setattr(superweyl.basering, "_expand_roots", refuse)
-    monkeypatch.setattr(superweyl.basering, "_xd_coeffs", refuse)
     assert [_instances(consistency_check(derive_datum(gm))) for gm in matrices] == before
     zeta = derive_datum(zeta_matrix("osp_even", 3, 3))
     assert consistency_check(zeta).all_pass
@@ -524,7 +523,7 @@ def test_t_term_cap_boundary(monkeypatch):
     def refuse(*args):
         raise AssertionError("a row factor was expanded")
 
-    monkeypatch.setattr(superweyl.datum, "_row_factor", refuse)
+    monkeypatch.setattr(superweyl.datum, "_expand_roots", refuse)
     over = GammaMatrix(Signature("minus", (0, 0, 0)), ((1, 0), (0, 100), (0, -100)))
     with pytest.raises(ResourceCapError, match="t_2 has 10100 terms, over the term cap 10000"):
         derive_t(over, 1)
@@ -625,3 +624,22 @@ def test_derive_t_holds_int_coefficients():
     t = derive_t(EX_C, 1)
     assert t.terms and all(type(c) is int for c in t.terms.values())
     assert t == BaseRingElement(EX_C.sig, {e: Fraction(c) for e, c in t.terms.items()})
+
+
+def test_consistency_instance_cap_boundary():
+    # 64 columns, the widest zeta matrix, give m(m-1)/2 pairs and
+    # m(m-1)(m-2)/2 triples: exactly the cap
+    at_cap = identity_gamma(Signature("minus", (0,) * 64))
+    report = consistency_check(derive_datum(at_cap))
+    assert len(report.instances) == MAX_CONSISTENCY_INSTANCES and report.all_pass
+    over = identity_gamma(Signature("minus", (0,) * 65))
+    with pytest.raises(ResourceCapError,
+                       match="65 columns give 133120 consistency instances, over the cap 127008"):
+        consistency_check(derive_datum(over))
+
+
+def test_products_of_mismatched_signatures_raise():
+    a, b = eval_word(EX_C, [("X", 0)]), eval_word(TRIPLE_FAIL, [("X", 0)])
+    for call in (lambda: gradation_pair(a, b), lambda: super_bracket(a.image, b.image, 0, 1)):
+        with pytest.raises(SignatureMismatchError, match="operands live in different signatures"):
+            call()
