@@ -11,8 +11,17 @@ act through closed-form powers:
 
 This module also hosts the two bridges with the superalgebra: ``iota_embed``
 (substitute u_i -> d_i x_i and normalize) and ``project_zero`` (rewrite the
-degree-zero part of an element as a reduced polynomial in the u_i, through
-the integer coefficients of x_i^k d_i^k = (u_i - 1)...(u_i - k)).
+degree-zero part of an element as a reduced polynomial in the u_i).  Both
+are a change of basis between the powers u_i^e and the blocks x_i^k d_i^k,
+in closed form on each index:
+
+    u^e = sum_k S(e + 1, k + 1) x^k d^k      (S: Stirling numbers, 2nd kind)
+    x^k d^k = (u - 1)(u - 2)...(u - k)      (falling-factorial rows)
+
+with u = 1 - x d and x d = 1 - u on a Clifford index.  Degree-zero blocks of
+distinct indices commute, so a bridge applies its integer rows one index at
+a time: index i costs one pass over the terms, each term replaced by the
+nonzero entries of its row, with each row built once per index.
 """
 
 from __future__ import annotations
@@ -22,8 +31,7 @@ from math import lcm
 from typing import Sequence
 
 from .algebra import (
-    _SCALARS, Signature, SparseElement, SuperElement, _exact, _word_terms, accumulate_terms,
-    int_tuple,
+    _SCALARS, Signature, SparseElement, SuperElement, _exact, accumulate_terms, int_tuple,
 )
 
 
@@ -147,31 +155,59 @@ def tau_apply(exponents: Sequence[int], r: BaseRingElement) -> BaseRingElement:
 
 
 def iota_embed(r: BaseRingElement) -> SuperElement:
-    """Substitute u_i -> d_i x_i and normalize in the superalgebra."""
+    """Substitute u_i -> d_i x_i and normalize in the superalgebra: u_i^e
+    becomes the Stirling row ``_power_row`` in the blocks x_i^k d_i^k."""
     sig = r.sig
-    words = (
-        (coeff, [code for i, e in enumerate(exps) for code in (2 * i + 1, 2 * i) * e])
-        for exps, coeff in r.terms.items()
-    )
-    return SuperElement._raw(sig, _scaled_sum((c, _word_terms(sig, w).items()) for c, w in words))
+    blocks = _per_index(sig, r.terms.items(), _power_row)
+    return SuperElement._raw(sig, {tuple(zip(key, key)): c for key, c in blocks.items()})
 
 
 def project_zero(a: SuperElement) -> BaseRingElement:
-    """Degree-zero component of a superalgebra element, written in the u_i.
-
-    Each block x_i^k d_i^k becomes the polynomial (u_i - 1)...(u_i - k)
-    (1 - u_i on a Clifford index), with the roots ``_roots(-k)``; per-index
-    degree-zero blocks commute, so a monomial expands to the outer product
-    of those integer coefficient lists.
-    """
+    """Degree-zero component of a superalgebra element, written in the u_i:
+    each block x_i^k d_i^k becomes (u_i - 1)...(u_i - k), the roots
+    ``_roots(-k)``, or 1 - u_i on a Clifford index."""
     sig = a.sig
-    parts = []
+    items = []
     for mono, coeff in a.terms.items():
-        if any(x != d for x, d in mono):
-            continue
-        factors = (_expand_roots(sig.is_clifford(i), _roots(-k)) for i, (k, _) in enumerate(mono))
-        parts.append((coeff, _outer_product(factors)))
-    return BaseRingElement._raw(sig, _scaled_sum(parts))
+        xs, ds = zip(*mono)
+        if xs == ds:
+            items.append((xs, coeff))
+    rows = _per_index(sig, items, lambda clifford, k: _expand_roots(clifford, _roots(-k)))
+    return BaseRingElement._raw(sig, rows)
+
+
+def _per_index(sig: Signature, items, row_of) -> dict:
+    """Image of a combination of exponent tuples under the linear map that
+    replaces, on every index i, exponent e by the integer coefficient list
+    ``row_of(sig.is_clifford(i), e)`` (entry k the coefficient of exponent
+    k).  The keys of ``items`` are distinct.  The sums run in integers over
+    the common denominator, each row is built once per index, and each
+    surviving key costs at most one Fraction."""
+    items = list(items)
+    den = lcm(*(coeff.denominator for _, coeff in items))
+    acc = {key: coeff.numerator * (den // coeff.denominator) for key, coeff in items}
+    for i in range(sig.n):
+        clifford = sig.is_clifford(i)
+        rows = {e: row_of(clifford, e) for e in {key[i] for key in acc}}
+        acc = accumulate_terms({}, (
+            (key[:i] + (k,) + key[i + 1:], c * s)
+            for key, c in acc.items() for k, s in enumerate(rows[key[i]]) if s
+        ))
+    if den == 1:
+        return acc
+    return {key: Fraction(v, den) for key, v in acc.items()}
+
+
+def _power_row(clifford: bool, e: int) -> list[int]:
+    """Coefficients of u^e = (d x)^e in the blocks x^k d^k, k = 0..e: the
+    Stirling numbers S(e + 1, k + 1) of the second kind, from S(n + 1, k + 1)
+    = (k + 1) S(n, k + 1) + S(n, k); on a Clifford index u = 1 - x d."""
+    if clifford:
+        return [1, -1] if e else [1]
+    row = [1]
+    for _ in range(e):
+        row = [(k + 1) * hi + lo for k, (lo, hi) in enumerate(zip([0] + row, row + [0]))]
+    return row
 
 
 def _outer_product(factors) -> list[tuple[tuple[int, ...], int]]:
@@ -181,21 +217,6 @@ def _outer_product(factors) -> list[tuple[tuple[int, ...], int]]:
     for coeffs in factors:
         terms = [(e + (j,), c * s) for e, c in terms for j, s in enumerate(coeffs) if s]
     return terms
-
-
-def _scaled_sum(parts) -> dict:
-    """Sum of coeff * expansion over (coeff, expansion) pairs, each expansion
-    an iterable of (key, integer); the sums run in integers over the common
-    denominator, so each surviving key costs at most one Fraction."""
-    parts = list(parts)
-    den = lcm(*(coeff.denominator for coeff, _ in parts))
-    acc = {}
-    for coeff, expansion in parts:
-        scale = coeff.numerator * (den // coeff.denominator)
-        accumulate_terms(acc, ((key, scale * s) for key, s in expansion))
-    if den == 1:
-        return acc
-    return {key: Fraction(v, den) for key, v in acc.items()}
 
 
 def _roots(k: int) -> range:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import log10
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, _word_terms, int_tuple
@@ -190,6 +191,14 @@ def require_valid(gm: GammaMatrix) -> None:
 # term count is known before t_i is expanded.
 MAX_T_TERMS = 10_000
 
+# Most digits one t_i may hold, estimated from the entries: the term count
+# times the sum over rows of 1 + log10 of the product of 1 + |r| over the
+# row's roots r.  That product bounds every coefficient of the row's factor,
+# so the estimate bounds the digits of t_i.  [[1000], [-9]], at the term cap
+# with coefficients of about 2,570 digits, estimates 25.8 million and would
+# print 15.5 MB; [[300], [-30]] estimates 6.0 million.
+MAX_T_DIGITS = 10_000_000
+
 
 def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     """Central element t_i = product over rows of the paired-word factor.
@@ -197,8 +206,8 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     Row r with entry k contributes the factor with roots ``_roots(k)``; the
     factors live in distinct variables, so t_i is their outer product, with
     a term per choice of one nonzero coefficient from every factor.  A t_i
-    of more than MAX_T_TERMS terms raises ResourceCapError before any factor
-    is expanded.
+    of more than MAX_T_TERMS terms, or of more than MAX_T_DIGITS estimated
+    digits, raises ResourceCapError before any factor is expanded.
     """
     require_valid(gm)
     sig = gm.sig
@@ -208,6 +217,11 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
         terms *= _factor_terms(k)
     if terms > MAX_T_TERMS:
         raise ResourceCapError(f"t_{col + 1} has {terms} terms, over the term cap {MAX_T_TERMS}")
+    digits = terms * sum(1 + sum(log10(1 + abs(r)) for r in _roots(k)) for k in column)
+    if digits > MAX_T_DIGITS:
+        raise ResourceCapError(
+            f"t_{col + 1} has about {round(digits)} digits, over the digit cap {MAX_T_DIGITS}"
+        )
     factors = (_expand_roots(sig.is_clifford(r), _roots(k)) for r, k in enumerate(column))
     return BaseRingElement._raw(sig, dict(_outer_product(factors)))
 

@@ -31,6 +31,13 @@ vector's letters with no first-touch rule, so it enters and memoizes every
 subtree that starts a Clifford row with the wrong sign, the way
 ``is_in_support`` did before.  Its witness is still the least admissible
 column sequence, so the two must agree.
+
+``substituted_iota`` is the sixth: it embeds a base-ring element by
+normalizing each term's word (d_1 x_1)^e1 ... (d_n x_n)^en through
+``word_element``, the way ``iota_embed`` did before it applied Stirling
+rows one index at a time.  ``fock_values`` gives the eigenvalues of the
+u_i on a basis vector of the action above, so a degree-zero element can be
+checked against a base-ring polynomial without either bridge.
 """
 
 import itertools
@@ -45,6 +52,7 @@ from superweyl import (
     super_bracket,
     tau_apply,
     validate_gamma,
+    word_element,
 )
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
@@ -116,6 +124,26 @@ def act(sig, elem, states):
                 out[vec] = c2
             else:
                 out.pop(vec, None)
+    return out
+
+
+def fock_values(sig, vec):
+    """Eigenvalue of each u_i = d_i x_i on a basis vector: poly[i] + 1 on a
+    polynomial index, 1 on an empty and 0 on an occupied exterior index."""
+    exts, poly = vec
+    return tuple(
+        (0 if i in exts else 1) if sig.is_clifford(i) else poly[i] + 1 for i in range(sig.n)
+    )
+
+
+def substituted_iota(r):
+    """iota_embed(r) as the sum over terms of the normalized words
+    (d_1 x_1)^e1 ... (d_n x_n)^en."""
+    sig = r.sig
+    out = SuperElement.zero(sig)
+    for exps, coeff in r.terms.items():
+        word = [(kind, i) for i, e in enumerate(exps) for _ in range(e) for kind in "dx"]
+        out = out + coeff * word_element(sig, word)
     return out
 
 

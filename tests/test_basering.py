@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+import superweyl.algebra
+import superweyl.basering
 from superweyl import (
     BaseRingElement,
     Signature,
@@ -14,8 +18,8 @@ from superweyl import (
     project_zero,
     word_element,
 )
-from superweyl.basering import tau_apply, tau_single
-from helpers import random_signature
+from superweyl.basering import _power_row, tau_apply, tau_single
+from helpers import act, basis_vec, fock_values, random_signature, substituted_iota
 
 MINUS_11 = Signature("minus", (0, 1))  # index 0 Weyl-like, index 1 Clifford
 
@@ -283,4 +287,114 @@ def test_iota_embed_of_an_integer_polynomial_holds_ints():
     assert all(type(c) is int for c in embedded.terms.values())
     as_fractions = BaseRingElement(sig, {e: Fraction(c) for e, c in r.terms.items()})
     assert iota_embed(as_fractions) == embedded
+    assert project_zero(embedded) == r
+
+
+# every sign and parity mix on up to three indices
+BRIDGE_SIGNATURES = [
+    Signature(sign, parity)
+    for n in (1, 2, 3)
+    for sign in ("minus", "plus")
+    for parity in itertools.product((0, 1), repeat=n)
+]
+
+
+def _bridge_element(sig, rng):
+    """Up to three terms with exponents up to 12 on one index and up to 1 on
+    the others, so that a Fock grid pinning the degree stays small."""
+    high = rng.randrange(sig.n)
+
+    def exps():
+        return tuple(rng.randint(0, 12 if i == high else 1) for i in range(sig.n))
+
+    return BaseRingElement(sig, [(exps(), _pin_coeff(rng)) for _ in range(rng.randint(1, 3))])
+
+
+def _fock_check(a, f):
+    """a acts on every basis vector v of a grid as f(u = fock_values(v)).
+
+    The grid takes 0..top on each polynomial index, top the highest power of
+    u_i in f or in a's blocks x_i^k d_i^k, and both states of each exterior
+    index, so the values on it pin polynomials of either degree."""
+    sig = a.sig
+    keys = list(f.terms) + [[x for x, _ in mono] for mono in a.terms]
+    tops = [max((key[i] for key in keys), default=0) for i in range(sig.n)]
+    grid = [
+        basis_vec((i for i in sig.clifford_indices if occupied[i]), poly, sig.n)
+        for occupied in itertools.product((0, 1), repeat=sig.n)
+        if not any(occupied[i] for i in range(sig.n) if not sig.is_clifford(i))
+        for poly in itertools.product(*(
+            (0,) if sig.is_clifford(i) else range(tops[i] + 1) for i in range(sig.n)
+        ))
+    ]
+    expected = {v: f.evaluate(fock_values(sig, v)) for v in grid}
+    assert act(sig, a, dict.fromkeys(grid, Fraction(1))) == {v: c for v, c in expected.items() if c}
+
+
+def _int_only(el):
+    return all(type(c) is int for c in el.terms.values())
+
+
+def test_bridges_match_the_substitution_and_fock_oracles():
+    rng = random.Random(1507)
+    for sig in BRIDGE_SIGNATURES:
+        for r in (BaseRingElement.zero(sig), _bridge_element(sig, rng), _bridge_element(sig, rng)):
+            embedded = iota_embed(r)
+            assert embedded == substituted_iota(r)
+            assert _int_only(embedded) == all(c.denominator == 1 for c in r.terms.values())
+            _fock_check(embedded, r)
+            back = project_zero(embedded)
+            assert back == r
+            assert _int_only(back) == _int_only(embedded)
+        # a degree-zero element built from blocks, plus a part of other degree
+        blocks = _bridge_element(sig, rng)
+        a = SuperElement(sig, {tuple((k, k) for k in key): c for key, c in blocks.terms.items()})
+        projected = project_zero(a)
+        _fock_check(a, projected)
+        assert project_zero(a + 3 * SuperElement.x(sig, 0)) == projected
+        assert iota_embed(projected) == a
+
+
+def _stirling2(n, k):
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+
+
+def test_power_row_holds_stirling_numbers():
+    for e in range(31):
+        assert _power_row(False, e) == [_stirling2(e + 1, k + 1) for k in range(e + 1)]
+    assert _power_row(True, 0) == [1]
+    assert _power_row(True, 1) == [1, -1]
+
+
+def test_each_bridge_builds_each_row_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a monomial product was taken")
+
+    monkeypatch.setattr(superweyl.algebra, "_mono_product", refuse)
+    calls = []
+    for name in ("_power_row", "_expand_roots"):
+        def counting(*args, row=getattr(superweyl.basering, name)):
+            calls.append(args)
+            return row(*args)
+
+        monkeypatch.setattr(superweyl.basering, name, counting)
+    sig = Signature("plus", (0, 1, 0))
+    r = BaseRingElement(sig, {(3, 1, 2): 1, (3, 0, 2): Fraction(1, 2), (0, 1, 5): -4, (3, 1, 0): 2})
+    distinct = len({(i, e) for key in r.terms for i, e in enumerate(key)})
+    embedded = iota_embed(r)
+    assert len(calls) == distinct
+    calls.clear()
+    assert project_zero(embedded + SuperElement.x(sig, 0)) == r
+    assert len(calls) == len({(i, a) for mono in embedded.terms for i, (a, _) in enumerate(mono)})
+
+
+def test_three_index_round_trip_at_exponent_16():
+    sig = Signature("minus", (0, 0, 0))
+    r = BaseRingElement(sig, {(16, 16, 16): 1})
+    row = [_stirling2(17, k + 1) for k in range(17)]
+    embedded = iota_embed(r)
+    assert embedded.terms == {
+        ((a, a), (b, b), (c, c)): row[a] * row[b] * row[c]
+        for a, b, c in itertools.product(range(17), repeat=3)
+    }
     assert project_zero(embedded) == r

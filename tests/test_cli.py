@@ -616,6 +616,16 @@ def test_reversed_box_interval_is_a_usage_error(argv, matrix_file, capsys):
     assert run(["support", "enum", paths["one"], "--box", "1:1"]) == 0
 
 
+def test_t_digit_cap_is_a_resource_error(matrix_file, capsys):
+    path = matrix_file({"sign": "minus", "parity": [0, 0], "gamma": [[1000], [-9]]})
+    for argv in (["datum", path], ["--format", "json", "datum", path]):
+        assert run(argv) == 2
+        _one_error_line(capsys, "over the digit cap 10000000")
+    below = matrix_file({"sign": "minus", "parity": [0, 0], "gamma": [[300], [-30]]}, "below.json")
+    assert run(["datum", below]) == 0
+    assert capsys.readouterr().out.startswith("t[1] = ")
+
+
 def test_consistency_instance_cap_is_a_resource_error(matrix_file, capsys):
     # 65 distinct +-1 columns on seven Clifford rows: a valid matrix whose
     # 65 * 64 / 2 * 64 = 133,120 instances pass the cap

@@ -6,7 +6,9 @@ import pytest
 
 import superweyl.basering
 import superweyl.datum
-from superweyl.datum import MAX_CONSISTENCY_INSTANCES, MAX_ENTRY, MAX_T_TERMS, MAX_WORD_DEGREE
+from superweyl.datum import (
+    MAX_CONSISTENCY_INSTANCES, MAX_ENTRY, MAX_T_DIGITS, MAX_T_TERMS, MAX_WORD_DEGREE,
+)
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
@@ -532,6 +534,30 @@ def test_t_term_cap_boundary(monkeypatch):
     with pytest.raises(ResourceCapError, match="t_2 has 10100 terms"):
         datum.t
     assert consistency_check(datum).all_pass
+
+
+def test_t_digit_cap_boundary(monkeypatch):
+    # estimates 9,997,036 and 10,001,587 digits: u (u + 1) ... (u + 552)
+    # times (u - 1) ... (u - 13), and the same with 468 and 19 roots
+    sig = Signature("minus", (0, 0))
+    assert MAX_T_DIGITS == 10_000_000
+    assert len(derive_t(GammaMatrix(sig, ((553,), (-13,))), 0).terms) == 553 * 14
+
+    def refuse(*args):
+        raise AssertionError("a row factor was expanded")
+
+    monkeypatch.setattr(superweyl.datum, "_expand_roots", refuse)
+    for column, estimate in (((468,), (-19,)), "1000158[78]"), (((1000,), (-9,)), "2576164[45]"):
+        with pytest.raises(ResourceCapError,
+                           match=f"t_1 has about {estimate} digits, over the digit cap 10000000"):
+            derive_t(GammaMatrix(sig, column), 0)
+    # a Clifford row adds little; the term cap is still checked first
+    clifford = GammaMatrix(Signature("minus", (0, 0, 1)), ((468,), (-19,), (1,)))
+    with pytest.raises(ResourceCapError, match="t_1 has about"):
+        derive_t(clifford, 0)
+    over = GammaMatrix(Signature("minus", (0, 0)), ((1000,), (-10,)))
+    with pytest.raises(ResourceCapError, match="t_1 has 11000 terms, over the term cap 10000"):
+        derive_t(over, 0)
 
 
 def test_json_round_trip():
