@@ -3,14 +3,15 @@
 Matrix files are JSON objects {"sign": "minus"|"plus", "parity": [0,1,...],
 "gamma": [[row], ...]} with rows listed top to bottom.  All rows, columns,
 and generator names are 1-based on this surface; degree vectors and boxes
-are comma-separated per column.  Exit codes: 0 pass/valid, 1 fail/invalid,
-2 usage or resource errors.
+are comma-separated per column.  Exit codes: 0 pass/valid, 1 fail/invalid
+or stdout closed early, 2 usage or resource errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .datum import (
@@ -431,7 +432,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: the flush at exit
+        # would fail again, so point stdout at devnull and exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_FAIL)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -64,6 +64,12 @@ class GammaMatrix:
         return tuple(sum(abs(row[c]) for row in self.rows) for c in range(self.m))
 
     @cached_property
+    def touches_clifford(self) -> tuple[bool, ...]:
+        """Per column, whether it has a nonzero entry on some Clifford row."""
+        cliff = [self.rows[r] for r in self.sig.clifford_indices]
+        return tuple(any(row[c] for row in cliff) for c in range(self.m))
+
+    @cached_property
     def validation(self) -> "ValidationReport":
         """``validate_gamma``'s report, computed on first read and kept."""
         return validate_gamma(self)

@@ -12,7 +12,12 @@ value, so a row whose image is 1 must receive a 1 first, and a row whose
 image is -1 a -1.  This prunes only subtrees that cannot be completed, so
 the witness is unchanged (see ``_arrange``).
 
-``enumerate_support`` does three things a point-by-point scan would not:
+A box is decided by one membership walk, ``_members``, with two readers:
+``enumerate_support`` adds the witnesses of the members the walk did not
+search and caps the witness letters, and ``injectivity_report`` reads only
+the points.  The search builds a witness, so the walk caps the searched
+points' letters as ``enumerate_support`` does.  The walk does three things
+a point-by-point scan would not:
 
 - It walks only contained points, those whose image has every Clifford row
   in {-1, 0, 1} (a necessary condition).  Columns are fixed left to right
@@ -27,14 +32,14 @@ the witness is unchanged (see ``_arrange``).
   point.  A search that reaches a state another point already exhausted
   backs off at once.
 - A point none of whose letters touches a Clifford row needs no search:
-  no state can fail, and the witness is its letters in column order.
+  no state can fail, so it is a member, and its witness is its letters in
+  column order.  A branch all of whose points are such is handed over as
+  its range of last entries, with no work per point.
 
-Work that does not depend on the point is done once.  The letters, and
-whether they touch a Clifford row, are found once per sign pattern.  The
-walk hands over its points by branch, all choices of the last entry at
-once, so the signs, the parity, the letter count and the column-order
-witness of the first m - 1 entries are found once per branch; a point's
-letter count, checked against the witness cap, is that plus |g_m|.
+Work that does not depend on the point is done once: which columns touch a
+Clifford row once per matrix, the letters once per sign pattern, and the
+signs, parity, letter count and column-order witness of the first m - 1
+entries once per branch (all choices of the last entry).
 
 ``oracle_membership`` decides the same question by exhaustively multiplying
 generator images over all arrangements; it shares no logic with the pattern
@@ -104,6 +109,12 @@ def _require_witness_size(g: tuple[int, ...]) -> None:
         raise ResourceCapError(f"|g| = {total} exceeds the witness cap {MAX_WITNESS_LETTERS}")
 
 
+def _enum_cap_error() -> ResourceCapError:
+    return ResourceCapError(
+        f"witnesses in the box exceed the enumeration cap of {MAX_ENUM_LETTERS} letters"
+    )
+
+
 def _degree_vector(gm: GammaMatrix, g: Sequence[int]) -> tuple[int, ...]:
     g = int_tuple(g, "degree vector entries")
     if len(g) != gm.m:
@@ -127,17 +138,9 @@ def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
     if signs is None:
         return None
     _require_witness_size(g)
-    letters, failed = _pattern(gm, g)
-    if failed is None:
+    if not any(v for v, t in zip(g, gm.touches_clifford) if t):
         return _column_order(g)
-    return _arrange(letters, [abs(g[c]) for c, _, _, _ in letters], failed, *signs)
-
-
-def _pattern(gm: GammaMatrix, g: Sequence[int]):
-    """The letters of g and an empty failed-state memo for them, or the
-    letters and None when no letter touches a Clifford row."""
-    letters = _letters(gm, g)
-    return letters, set() if any(plus or minus for _, _, plus, minus in letters) else None
+    return _arrange(_letters(gm, g), [abs(v) for v in g if v], set(), *signs)
 
 
 def _column_order(g: Sequence[int]) -> Witness:
@@ -254,6 +257,39 @@ def enumerate_support(
     too long a witness raises ResourceCapError as there.  So do witnesses
     holding more than MAX_ENUM_LETTERS letters in all.
     """
+    box = _checked_box(gm, box, cap)
+    last = gm.m - 1
+    up, down = ((last, 1),), ((last, -1),)
+    found = []
+    letters_out = 0
+    for head, values, witness in _members(gm, box, even_lattice):
+        if witness is not None:
+            # one searched member: values is (v,)
+            letters_out += len(witness)
+            found.append((head + values, witness))
+        else:
+            # unsearched members: the witness is the letters in column order
+            head_letters = sum(map(abs, head))
+            head_order = None  # built after a point passes the witness cap
+            for v in values:
+                point_letters = head_letters + abs(v)
+                if point_letters > MAX_WITNESS_LETTERS:
+                    _require_witness_size(head + (v,))
+                letters_out += point_letters
+                if letters_out > MAX_ENUM_LETTERS:
+                    break
+                if head_order is None:
+                    head_order = _column_order(head)
+                found.append((head + (v,), head_order + (up * v if v > 0 else down * -v)))
+        if letters_out > MAX_ENUM_LETTERS:
+            raise _enum_cap_error()
+    return found
+
+
+def _checked_box(gm: GammaMatrix, box: Sequence[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
+    """The box as a list of integer intervals, one per column of the valid
+    matrix ``gm``; a box of more than ``cap`` points raises ResourceCapError
+    before any point is visited."""
     require_valid(gm)
     box = [int_tuple(interval, "box bounds") for interval in box]
     if len(box) != gm.m:
@@ -265,50 +301,60 @@ def enumerate_support(
         count *= hi - lo + 1
     if count > cap:
         raise ResourceCapError(f"box holds {count} candidate points, cap is {cap}")
+    return box
+
+
+def _members(gm: GammaMatrix, box: list[tuple[int, int]], even_lattice: bool):
+    """The support points of a checked box in ``itertools.product`` order, as
+    triples (head, values, witness) for the points head + (v,), v in values.
+    ``witness`` is None when the points touch no Clifford row, so are
+    members with no search; a branch all of whose points are such goes over
+    at once.  A searched member goes over on its own, as (head, (v,), the
+    witness the search built), so a reader can stop after any of them.  A
+    searched point of more than MAX_WITNESS_LETTERS letters raises
+    ResourceCapError, and so do searched witnesses of more than
+    MAX_ENUM_LETTERS letters in all."""
     last = gm.m - 1
     cliff = [gm.rows[r] for r in gm.sig.clifford_indices]
-    found = []
-    letters_out = 0
-    patterns: dict[tuple[int, ...], tuple] = {}  # sign pattern -> _pattern(gm, g)
+    touching = gm.touches_clifford
+    head_columns = [c for c in range(last) if touching[c]]  # of the first m - 1 columns
+    last_column = [row[last] for row in cliff]
+    patterns: dict[tuple[int, ...], tuple] = {}  # sign pattern -> (letters, failed states)
+    searched_letters = 0
     for head, values, partial in _contained_branches(gm, box, cliff):
-        # done once for all points of the branch: the signs, the parity, the
-        # letter count and the witness of its first m - 1 entries
-        head_signs = tuple([(v > 0) - (v < 0) for v in head])
-        odd = sum(head) & 1
+        if even_lattice:
+            values = values[(sum(head) + values.start) & 1::2]
+        head_touches = any(map(head.__getitem__, head_columns))
+        if not (head_touches or touching[last]):
+            yield head, values, None
+            continue
+        # done once for all points of the branch
         head_letters = sum(map(abs, head))
-        head_order = None  # built after a point passes the witness cap
+        head_counts = [abs(v) for v in head if v]
+        head_signs = tuple([(v > 0) - (v < 0) for v in head])
         for v in values:
-            if even_lattice and (odd + v) & 1:
+            if not (v or head_touches):
+                # the one point of the branch whose letters touch no Clifford row
+                yield head, (0,), None
                 continue
-            g = head + (v,)
             size = abs(v)
             point_letters = head_letters + size
             if point_letters > MAX_WITNESS_LETTERS:
-                _require_witness_size(g)
-            sign = (v > 0) - (v < 0)
-            pattern = head_signs + (sign,)
+                _require_witness_size(head + (v,))
+            pattern = head_signs + ((v > 0) - (v < 0),)
             entry = patterns.get(pattern)
             if entry is None:
-                entry = patterns[pattern] = _pattern(gm, g)
+                entry = patterns[pattern] = _letters(gm, head + (v,)), set()
             letters, failed = entry
-            if failed is None:
-                if head_order is None:
-                    head_order = _column_order(head)
-                witness = head_order + ((last, sign),) * size
-            else:
-                # the Clifford rows of gamma(g), each in {-1, 0, 1}
-                image = [p + row[last] * v for p, row in zip(partial, cliff)]
-                counts = [abs(g[c]) for c, _, _, _ in letters]
-                witness = _arrange(letters, counts, failed, *_sign_masks(image))
-                if witness is None:
-                    continue
-            letters_out += point_letters
-            if letters_out > MAX_ENUM_LETTERS:
-                raise ResourceCapError(
-                    f"witnesses in the box exceed the enumeration cap of {MAX_ENUM_LETTERS} letters"
-                )
-            found.append((g, witness))
-    return found
+            # the Clifford rows of gamma(g), each in {-1, 0, 1}
+            image = [p + e * v for p, e in zip(partial, last_column)]
+            counts = head_counts + [size] if v else head_counts[:]
+            witness = _arrange(letters, counts, failed, *_sign_masks(image))
+            if witness is not None:
+                searched_letters += point_letters
+                if searched_letters > MAX_ENUM_LETTERS:
+                    raise _enum_cap_error()
+                yield head, (v,), witness
 
 
 def _contained_branches(gm: GammaMatrix, box: list[tuple[int, int]], cliff):
@@ -537,13 +583,15 @@ def injectivity_report(
     distinctness result is labeled box-restricted by the caller.  Boxed
     support points are contained (Clifford image entries in {-1, 0, 1}), so
     a projected image is zero exactly when the plain image is, and the zero
-    fiber is read off the plain images.  The points come from
-    ``enumerate_support``, so a contained point whose witness would hold more
-    than MAX_WITNESS_LETTERS letters, or witnesses holding more than
-    MAX_ENUM_LETTERS letters in all, raise ResourceCapError here too.
+    fiber is read off the plain images.  The points come from the
+    membership walk: a point whose letters touch no Clifford row is a
+    member with no search and no witness, and the witness the search builds
+    for one whose letters do is dropped.  So the witness caps bound only the
+    searched points, as in the walk.
     """
     rank, kernel = gamma_rank_kernel(gm)
-    pts = [g for g, _ in enumerate_support(gm, box, cap=cap)]
+    box = _checked_box(gm, box, cap)
+    pts = [head + (v,) for head, values, _ in _members(gm, box, False) for v in values]
     images = [gm.apply(g) for g in pts]
     cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
     projected = [
@@ -554,7 +602,7 @@ def injectivity_report(
         rank=rank,
         m=gm.m,
         kernel=kernel,
-        box=[(lo, hi) for lo, hi in box],
+        box=box,
         points=pts,
         gamma_distinct_on_box=len(set(images)) == len(images),
         p_gamma_zero_fiber=zero_fiber,

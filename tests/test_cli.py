@@ -379,6 +379,22 @@ def test_module_entry_point_matches_run(argv, monkeypatch, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
+def test_closed_stdout_exits_1_quietly(matrix_file):
+    # about 4 MB of output, far more than a pipe holds: the command is still
+    # writing when the reader goes away, as under `| head -1`
+    path = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1]]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superweyl.cli", "support", "enum", path, "--box", "0:1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b'{"point": [0], "member": true, "witness": []}\n'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def _fixture_copy(tmp_path, family, key, value, name="fixtures.json"):
     """The packaged calibration fixture with one value replaced, as a file."""
     data = json.loads(
@@ -551,6 +567,9 @@ def test_enumeration_letter_cap_is_a_resource_error(matrix_file, capsys):
     path = matrix_file({"sign": "minus", "parity": [0], "gamma": [[1]]})
     assert run(["support", "enum", path, "--box", "0:3000"]) == 2
     _one_error_line(capsys, "witnesses in the box exceed the enumeration cap of 1000000 letters")
+    # injectivity builds no witness, so the same box answers
+    assert run(["injectivity", path, "--box", "0:3000"]) == 0
+    assert "support points in box: 3001\n" in capsys.readouterr().out
     assert run(["support", "enum", path, "--box", "0:1413"]) == 0
     assert capsys.readouterr().out.count("\n") == 1414
 

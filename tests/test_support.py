@@ -173,10 +173,10 @@ def test_witness_cap_boundary():
     assert [g for g, _ in enumerate_support(weyl, box)] == [(cap - 2, -1), at_cap]
     with pytest.raises(ResourceCapError, match="exceeds the witness cap"):
         enumerate_support(weyl, [(cap - 1, cap), (-1, -1)])
-    # injectivity reads its points from enumerate_support and is refused alike
+    # injectivity builds no witness, and these points touch no Clifford row,
+    # so none is searched and the witness cap does not apply
     assert injectivity_report(weyl, box).points == [(cap - 2, -1), at_cap]
-    with pytest.raises(ResourceCapError, match="exceeds the witness cap"):
-        injectivity_report(weyl, [(cap - 1, cap), (-1, -1)])
+    assert injectivity_report(weyl, [(cap - 1, cap), (-1, -1)]).points == [at_cap, (cap, -1)]
     # containment is decided first: a point off the Clifford bounds is no member
     assert is_in_support(EX_A, (cap, -cap)) is None
 
@@ -376,6 +376,7 @@ def test_pinned_box_scans_match_exhaustive_search(monkeypatch, gm, radius, membe
     assert len(expected) == members and states == exhausted
     found, states = count_exhausted_states(monkeypatch, lambda: enumerate_support(gm, box))
     assert found == expected and states == 0
+    assert injectivity_report(gm, box).points == [g for g, _ in expected]
 
 
 def test_first_touch_exhausts_no_state(monkeypatch):
@@ -431,9 +432,10 @@ def test_enumeration_letter_cap_boundary(monkeypatch):
         enumerate_support(weyl, [(top - 10, top)])
     monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 10)
     assert [g for g, _ in enumerate_support(weyl, [(0, 4)])] == [(0,), (1,), (2,), (3,), (4,)]
-    for call in (enumerate_support, injectivity_report):
-        with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 10 letters"):
-            call(weyl, [(0, 5)])
+    with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 10 letters"):
+        enumerate_support(weyl, [(0, 5)])
+    # injectivity builds no witness, so the enumeration cap does not apply
+    assert injectivity_report(weyl, [(0, 5)]).points == [(v,) for v in range(6)]
     # only members count: the 19 members of this box hold 44 letters, and
     # its two contained non-members (-1, -1, -1) and (1, 1, 1) 3 letters each
     gm = GammaMatrix(Signature("minus", (1, 1, 1)), ((0, -1, 1), (1, -1, -1), (-1, 0, 1)))
@@ -442,3 +444,76 @@ def test_enumeration_letter_cap_boundary(monkeypatch):
     monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 43)
     with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 43 letters"):
         enumerate_support(gm, [(-2, 2)] * 3)
+
+
+def test_injectivity_builds_no_witness(monkeypatch):
+    # no witness is built, so the witness caps that refuse `support enum`
+    # here do not apply: 3,001 points whose witnesses hold 4,501,500 letters
+    weyl = GammaMatrix(Signature("minus", (0,)), ((1,),))
+    expected = [g for g, _ in exhaustive_scan(weyl, [(0, 3000)])[0]]
+
+    def refuse(*args):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(superweyl.support, "_column_order", refuse)
+    monkeypatch.setattr(superweyl.support, "_arrange", refuse)
+    assert injectivity_report(weyl, [(0, 3000)]).points == expected
+    # one point past both caps: 200,000 letters
+    assert injectivity_report(weyl, [(0, 200_000)]).points == [(v,) for v in range(200_001)]
+
+
+def test_injectivity_report_keeps_the_validated_box():
+    report = injectivity_report(sample("nine_point"), iter([(-3, 3), (-3, 3)]))
+    assert report.box == [(-3, 3), (-3, 3)]
+    assert report.to_dict()["box"] == [[-3, 3], [-3, 3]]
+    assert report.to_dict()["support_points"] == 9
+
+
+def test_search_depth_is_capped_in_injectivity_too(monkeypatch):
+    monkeypatch.setattr(superweyl.support, "MAX_WITNESS_LETTERS", 10)
+    band = sample("band")
+    for call in (is_in_support, enumerate_support, injectivity_report):
+        args = ((6, 5),) if call is is_in_support else ([(6, 6), (5, 5)],)
+        with pytest.raises(ResourceCapError, match=r"\|g\| = 11 exceeds the witness cap 10"):
+            call(band, *args)
+
+
+def test_first_point_over_the_witness_cap_is_named(monkeypatch):
+    # row 1 Weyl, row 2 Clifford: (11, 0) touches no Clifford row and is a
+    # member with no search; (11, 1) is searched
+    gm = GammaMatrix(Signature("minus", (0, 1)), ((1, 0), (0, 1)))
+    box = [(11, 11), (0, 1)]
+    assert [g for g, _ in enumerate_support(gm, box)] == [(11, 0), (11, 1)]
+    monkeypatch.setattr(superweyl.support, "MAX_WITNESS_LETTERS", 10)
+    with pytest.raises(ResourceCapError, match=r"\|g\| = 11 exceeds the witness cap 10"):
+        enumerate_support(gm, box)
+    with pytest.raises(ResourceCapError, match=r"\|g\| = 12 exceeds the witness cap 10"):
+        injectivity_report(gm, box)
+    # searched members before the point over the witness cap count first:
+    # (5, 4) and (5, 5) hold 19 letters, and (5, 6) holds 11
+    monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 15)
+    with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 15 letters"):
+        enumerate_support(sample("band"), [(5, 5), (4, 6)])
+
+
+def test_enumeration_cap_stops_the_search_point_by_point(monkeypatch):
+    # the head (1,) touches the Clifford row and the last column does not,
+    # so every point (1, v) is searched; it holds v + 1 letters
+    gm = GammaMatrix(Signature("minus", (1, 0)), ((1, 0), (0, 1)))
+    box = [(1, 1), (0, 999)]
+    assert [g for g, _ in enumerate_support(gm, [(1, 1), (0, 3)])] == [(1, v) for v in range(4)]
+    searched = []
+    arrange = superweyl.support._arrange
+
+    def counting(*args):
+        searched.append(args)
+        return arrange(*args)
+
+    monkeypatch.setattr(superweyl.support, "_arrange", counting)
+    monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 100)
+    # (1, 0) .. (1, 12) hold 91 letters, (1, 13) 14 more: the 14th search is the last
+    for call in (enumerate_support, injectivity_report):
+        searched.clear()
+        with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 100 letters"):
+            call(gm, box)
+        assert len(searched) == 14
