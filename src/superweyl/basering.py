@@ -189,6 +189,8 @@ def _per_index(sig: Signature, items, row_of) -> dict:
     for i in range(sig.n):
         clifford = sig.is_clifford(i)
         rows = {e: row_of(clifford, e) for e in {key[i] for key in acc}}
+        if rows == {0: [1]}:
+            continue  # every key has exponent 0 here, which maps to itself
         acc = accumulate_terms({}, (
             (key[:i] + (k,) + key[i + 1:], c * s)
             for key, c in acc.items() for k, s in enumerate(rows[key[i]]) if s

@@ -16,6 +16,7 @@ their images together with the formal degree vector g.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import log10
@@ -157,21 +158,40 @@ def validate_gamma(gm: GammaMatrix) -> ValidationReport:
     A column pair (i, j) is acceptable when some Clifford row has a strictly
     negative entry product (the crossed words collapse to zero on that row),
     or when every row has a non-positive entry product (the words commute up
-    to a sign).  Each call builds a new report and applies no caps.
+    to a sign).  A pair that shares no nonzero row is acceptable, so only the
+    pairs found through the per-row column lists are visited, each decided
+    from bitmasks of its columns' positive and negative rows.  Each call
+    builds a new report and applies no caps.
     """
     n, m = gm.n, gm.m
     cliff = [gm.sig.is_clifford(r) for r in range(n)]
-    zero_columns = [c for c in range(m) if all(gm.rows[r][c] == 0 for r in range(n))]
+    cliff_rows = sum(1 << r for r in range(n) if cliff[r])
+    pos, neg = [0] * m, [0] * m  # per column, bitmasks of its positive and negative rows
+    row_columns = []  # per row, its nonzero columns in ascending order
+    for r, row in enumerate(gm.rows):
+        columns = []
+        for c, v in enumerate(row):
+            if v:
+                columns.append(c)
+                if v > 0:
+                    pos[c] |= 1 << r
+                else:
+                    neg[c] |= 1 << r
+        row_columns.append(columns)
+    zero_columns = [c for c in range(m) if not (pos[c] or neg[c])]
     clifford_violations = [
         (r, c) for r in range(n) if cliff[r] for c in range(m) if abs(gm.rows[r][c]) > 1
     ]
     sign_violations = []
     for i in range(m):
-        for j in range(i + 1, m):
-            prods = [gm.rows[r][i] * gm.rows[r][j] for r in range(n)]
-            if any(p < 0 and cliff[r] for r, p in enumerate(prods)):
-                continue
-            if any(p > 0 for p in prods):
+        pi, ni = pos[i], neg[i]
+        partners = set()
+        for r in range(n):
+            if gm.rows[r][i]:
+                columns = row_columns[r]
+                partners.update(columns[bisect_right(columns, i):])
+        for j in sorted(partners):
+            if (pi & pos[j] or ni & neg[j]) and not (pi & neg[j] | ni & pos[j]) & cliff_rows:
                 sign_violations.append((i, j))
     return ValidationReport(tuple(zero_columns), tuple(clifford_violations), tuple(sign_violations))
 

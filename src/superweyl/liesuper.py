@@ -15,15 +15,19 @@ bracket residual of every relation is computed exactly on scaled images.
 Each residual is bilinear in the images and the central constants and
 shifts of the h images bracket to zero, so the unscaled ("raw") bracket of
 every relation depends on the preset alone: it is computed once per
-``LiePreset``, on integer coefficient maps through the closed-form monomial
-product (exact fractions only where an image has them), and each
-calibration then costs one scalar multiple of every raw bracket minus its
-right-hand side.  Scale factors live in version-controlled fixtures; the
-``calibrate`` solver re-derives them by exact scalar-ratio matching (the
-raising scale is pinned by the column-word comparison, the lowering scale by
-the diagonal e-f relations, read from the same raw brackets and right-hand
-sides) and returns the relation and triangle reports of its answer.  A
-preset of rank p + q above ``MAX_LIE_RANK`` raises ``ResourceCapError``.
+``LiePreset``, on integer coefficient maps (exact fractions only where an
+image has them).  Two image monomials that share no index bracket to zero
+or to twice their product by a sign rule, so only the O(rank) pairs that
+share an index take the two closed-form monomial products, and the O(rank^2)
+relations cost O(rank^2) in all.  Each calibration then costs one scalar
+multiple of every nonzero raw bracket minus its right-hand side; a relation
+with neither passes as it is.  Scale factors live in version-controlled
+fixtures; the ``calibrate`` solver re-derives them by exact scalar-ratio
+matching (the raising scale is pinned by the column-word comparison, the
+lowering scale by the diagonal e-f relations, read from the same raw
+brackets and right-hand sides) and returns the relation and triangle reports
+of its answer.  A preset of rank p + q above ``MAX_LIE_RANK`` raises
+``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -36,14 +40,17 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .algebra import Signature, SuperElement, _exact, _mono_product, accumulate_terms
+from .algebra import (
+    Signature, SuperElement, _exact, _mono_product, accumulate_terms, mono_parity,
+)
 from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, phi_generator, require_valid
 from .errors import ResourceCapError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
-# Largest p + q a preset may have: checking a presentation costs about
-# (p + q)^3 steps (1.2 s at 64) and its column matrix holds (p + q)^2 entries.
+# Largest p + q a preset may have: a presentation holds about 3.5 (p + q)^2
+# relations, each checked and printed (lie check gl 32 32 takes about 0.2 s),
+# and its column matrix holds (p + q)^2 entries.
 MAX_LIE_RANK = 64
 
 
@@ -172,23 +179,27 @@ def preset(family: str, p: int, q: int) -> LiePreset:
     half = Fraction(1, 2)
     h_const_sign = 1 if sig.sign == "minus" else -1
 
-    e_images = []
-    for j in range(ne):
-        if j < n - 1:
-            img = SuperElement.x(sig, j) * SuperElement.d(sig, j + 1)
-        elif family == "osp_even":
-            img = SuperElement.x(sig, n - 1) * SuperElement.x(sig, n - 1)
-        else:
-            img = SuperElement.x(sig, n - 1)
-        e_images.append(img)
+    def image(*blocks, const=0):
+        # blocks (index, (a, b)) at ascending indices are a normal-ordered
+        # word, so the image is that one monomial with coefficient 1
+        pairs = [(0, 0)] * n
+        for i, block in blocks:
+            pairs[i] = block
+        terms = {tuple(pairs): 1}
+        if const:
+            terms[((0, 0),) * n] = const
+        return SuperElement._raw(sig, terms)
+
+    e_images = [image((j, (1, 0)), (j + 1, (0, 1))) for j in range(n - 1)]  # x_j d_{j+1}
+    if family == "osp_even":
+        e_images.append(image((n - 1, (2, 0))))  # x_n^2, on a Weyl index since q >= 1
+    elif family == "osp_odd":
+        e_images.append(image((n - 1, (1, 0))))  # x_n
     f_images = [img.star() for img in e_images]
-    h_images = []
-    for i in range(n):
-        const = h_const_sign * (half if sig.parity[i] == 0 else -half)
-        h_images.append(
-            SuperElement.x(sig, i) * SuperElement.d(sig, i)
-            + const * SuperElement.one(sig)
-        )
+    h_images = [
+        image((i, (1, 1)), const=h_const_sign * (half if sig.parity[i] == 0 else -half))
+        for i in range(n)
+    ]  # x_i d_i + c_i
 
     e_parity = []
     for j in range(ne):
@@ -285,41 +296,69 @@ class ResidualReport:
         }
 
 
-def _bracket_terms(sig: Signature, a: dict, b: dict, pa: int, pb: int) -> dict:
-    """ab - (-1)^(pa*pb) ba on coefficient maps."""
+def _support_terms(sig: Signature, terms: Mapping) -> list:
+    """(monomial, coefficient, support, length, parity) per term: the support
+    is the bitmask of the indices where the monomial has a block, the length
+    the parity of its total block length."""
+    return [
+        (mono, c, sum(1 << i for i, (a, b) in enumerate(mono) if a or b),
+         sum(a + b for a, b in mono) & 1, mono_parity(sig, mono))
+        for mono, c in terms.items()
+    ]
+
+
+def _bracket_terms(sig: Signature, a: list, b: list, pa: int, pb: int) -> dict:
+    """ab - (-1)^(pa*pb) ba on ``_support_terms`` lists.
+
+    Two monomials with disjoint supports multiply to one monomial either way
+    round, and m2*m1 = (-1)^(base*L1*L2 + P1*P2) m1*m2, with L the total
+    block lengths, P the parities (the block lengths on odd indices), and
+    base 1 for the plus variant and 0 for minus.  So such a pair brackets
+    to twice m1*m2 when that exponent and pa*pb differ in parity, and to
+    zero otherwise; only monomials that share an index take both products.
+    """
     swap = 1 if pa & pb else -1
+    plus = int(sig.sign == "plus")
     acc: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            c = c1 * c2
-            accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m1, m2)))
-            c = swap * c
-            accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m2, m1)))
+    for m1, c1, s1, l1, o1 in a:
+        for m2, c2, s2, l2, o2 in b:
+            if s1 & s2:
+                c = c1 * c2
+                accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m1, m2)))
+                c = swap * c
+                accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m2, m1)))
+            elif (plus & l1 & l2) ^ (o1 & o2) ^ (pa & pb):
+                c = 2 * c1 * c2
+                accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m1, m2)))
     return acc
 
 
 def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
-    one = ((0, 0),) * preset.sig.n
+    sig = preset.sig
     images = {
-        "e": [img.terms for img in preset.e_images],
-        "f": [img.terms for img in preset.f_images],
-        # the central constant of h_i brackets to zero
-        "h": [{m: c for m, c in img.terms.items() if m != one} for img in preset.h_images],
+        kind: [_support_terms(sig, img.terms) for img in getattr(preset, f"{kind}_images")]
+        for kind in "efh"
     }
     parity = {"e": preset.e_parity, "f": preset.e_parity, "h": (0,) * preset.n}
     out = []
     for rel in preset.relations:
         (a, i), (b, j) = rel.left, rel.right
         out.append(MappingProxyType(_bracket_terms(
-            preset.sig, images[a][i], images[b][j], parity[a][i], parity[b][j],
+            sig, images[a][i], images[b][j], parity[a][i], parity[b][j],
         )))
     return tuple(out)
+
+
+def _exact_int(c):
+    """``_exact(c)``, an integral value as an int: int products are cheaper."""
+    c = _exact(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _scale(cal: Calibration, generator: tuple[str, int]):
     """Scale factor of a generator's image; h images are not scaled."""
     kind, k = generator
-    return 1 if kind == "h" else _exact((cal.e_scale if kind == "e" else cal.f_scale)[k])
+    return 1 if kind == "h" else _exact_int((cal.e_scale if kind == "e" else cal.f_scale)[k])
 
 
 def _linear_terms(preset: LiePreset, cal: Calibration, linear, sign: int):
@@ -331,7 +370,7 @@ def _linear_terms(preset: LiePreset, cal: Calibration, linear, sign: int):
         c = sign * coeff * _scale(cal, generator)
         yield from ((m, c * v) for m, v in getattr(preset, f"{kind}_images")[k].terms.items())
         if kind == "h":
-            yield one, c * _exact(cal.h_shift[k])
+            yield one, c * _exact_int(cal.h_shift[k])
 
 
 def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Mapping) -> dict:
@@ -344,10 +383,15 @@ def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Map
 
 
 def check_relations(preset: LiePreset, scalings: Optional[Calibration] = None) -> ResidualReport:
-    """Residual of every listed relation on the scaled images."""
+    """Residual of every listed relation on the scaled images; a relation
+    whose raw bracket and right-hand side are both empty passes unscaled."""
     cal = scalings or preset.scalings
+    zero = SuperElement.zero(preset.sig)
     results = []
     for rel, raw in zip(preset.relations, preset.raw_brackets):
+        if not (raw or rel.linear):
+            results.append(RelationResult(rel.label, True, zero))
+            continue
         terms = _residual_terms(preset, cal, rel, raw)
         results.append(RelationResult(rel.label, not terms, SuperElement._raw(preset.sig, terms)))
     return ResidualReport(results)

@@ -38,6 +38,11 @@ normalizing each term's word (d_1 x_1)^e1 ... (d_n x_n)^en through
 rows one index at a time.  ``fock_values`` gives the eigenvalues of the
 u_i on a basis vector of the action above, so a degree-zero element can be
 checked against a base-ring polynomial without either bridge.
+
+``dense_validation`` is the seventh: it decides the sign condition of
+``validate_gamma`` on every column pair in turn, from the entry products of
+all rows, the way ``validate_gamma`` did before it visited only the pairs
+that share a nonzero row.
 """
 
 import itertools
@@ -54,6 +59,7 @@ from superweyl import (
     validate_gamma,
     word_element,
 )
+from superweyl.datum import ValidationReport
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
 # A letter is coded 2*index + kind, with kind 0 for x and 1 for d.
@@ -244,6 +250,25 @@ def random_valid_gamma(rng, max_n=3, max_m=3, sign=None, parity=None):
         gm = GammaMatrix(sig, tuple(tuple(r) for r in rows))
         if validate_gamma(gm).valid:
             return gm
+
+
+def dense_validation(gm):
+    """``validate_gamma``'s report, from every column pair in turn."""
+    n, m = gm.n, gm.m
+    cliff = [gm.sig.is_clifford(r) for r in range(n)]
+    zero_columns = [c for c in range(m) if all(gm.rows[r][c] == 0 for r in range(n))]
+    clifford_violations = [
+        (r, c) for r in range(n) if cliff[r] for c in range(m) if abs(gm.rows[r][c]) > 1
+    ]
+    sign_violations = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            prods = [gm.rows[r][i] * gm.rows[r][j] for r in range(n)]
+            if any(p < 0 and cliff[r] for r, p in enumerate(prods)):
+                continue
+            if any(p > 0 for p in prods):
+                sign_violations.append((i, j))
+    return ValidationReport(tuple(zero_columns), tuple(clifford_violations), tuple(sign_violations))
 
 
 def random_degree_vector(rng, m, max_total=6):

@@ -42,6 +42,7 @@ from superweyl.liesuper import calibrate, check_triangle, preset, super_bracket
 from helpers import (
     bidiagonal_matrix,
     closed_form_consistency,
+    dense_validation,
     expanded_consistency,
     product_eval_word,
     random_valid_gamma,
@@ -105,6 +106,46 @@ def test_validate_zero_column():
     rep = validate_gamma(gm)
     assert not rep.valid
     assert rep.zero_columns == (1,)
+
+
+def _random_matrix(rng, kind):
+    """A random matrix: ``small`` entries in -2..2, mostly zero; ``valid``
+    ones by rejection; ``wide`` all-Clifford ones with up to 24 columns of
+    entries in -1..1, so most columns share every row and a repeated column
+    is a violation."""
+    if kind == "valid":
+        return random_valid_gamma(rng, max_n=4, max_m=6)
+    if kind == "small":
+        n, m = rng.randint(1, 5), rng.randint(1, 8)
+        sig = Signature(rng.choice(["minus", "plus"]), tuple(rng.randint(0, 1) for _ in range(n)))
+        choices = (-2, -1, 0, 0, 0, 1, 2)
+    else:
+        n, m = rng.randint(1, 6), rng.randint(2, 24)
+        sign = rng.choice(["minus", "plus"])
+        sig = Signature(sign, (1 if sign == "minus" else 0,) * n)
+        choices = (-1, 1, -1, 1, 0) if rng.random() < 0.5 else (-1, 1)
+    return GammaMatrix(sig, tuple(tuple(rng.choice(choices) for _ in range(m)) for _ in range(n)))
+
+
+def test_validate_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(1701)
+    verdicts = {}
+    for t in range(10_000):
+        kind = ("small", "valid", "wide")[t % 3]
+        gm = _random_matrix(rng, kind)
+        report = validate_gamma(gm)
+        assert report == dense_validation(gm), gm
+        verdicts[kind, report.valid] = verdicts.get((kind, report.valid), 0) + 1
+    assert ("valid", False) not in verdicts
+    for kind in ("small", "wide"):
+        assert verdicts[(kind, True)] > 200 and verdicts[(kind, False)] > 200
+
+
+def test_rank_64_zeta_matrices_validate():
+    for family, p, q in (("gl", 32, 32), ("osp_even", 1, 63), ("osp_odd", 30, 34)):
+        zeta = zeta_matrix(family, p, q)
+        assert zeta.n == 64
+        assert validate_gamma(zeta) == dense_validation(zeta) == superweyl.datum.ValidationReport()
 
 
 MATRIX_ENTRY_POINTS = {

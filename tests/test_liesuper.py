@@ -26,6 +26,7 @@ from superweyl import (
     zeta_matrix,
 )
 from superweyl import cli, liesuper
+from superweyl.algebra import _mono_product, accumulate_terms
 from superweyl.cli import run
 
 ALL_COMBOS = [
@@ -255,6 +256,115 @@ def test_check_relations_matches_expanded_oracle():
             _assert_matches_oracle(check_relations(pre, cal), expected)
             if name == "random" and expected:
                 assert any(cal.h_shift) and not all(passed for _, passed, _ in expected)
+    # ranks 10 to 16, under the fixture and the solved calibration
+    for family, p, q in [
+        ("gl", 6, 6), ("osp_even", 3, 9), ("osp_odd", 7, 5), ("gl", 0, 10), ("osp_odd", 8, 8),
+    ]:
+        pre = preset(family, p, q)
+        for cal in (load_calibration(pre), calibrate(pre).calibration):
+            expected = expanded_relations(pre, cal)
+            assert all(passed for _, passed, _ in expected)
+            _assert_matches_oracle(check_relations(pre, cal), expected)
+
+
+def _paired_bracket(sig, a, b, pa, pb):
+    """ab - (-1)^(pa*pb) ba as m1*m2 + swap * m2*m1 over every pair of terms."""
+    swap = 1 if pa & pb else -1
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            accumulate_terms(acc, ((m, c1 * c2 * s) for m, s in _mono_product(sig, m1, m2)))
+            accumulate_terms(acc, ((m, swap * c1 * c2 * s) for m, s in _mono_product(sig, m2, m1)))
+    return acc
+
+
+def _sparse_monomial(sig, rng):
+    """A monomial with a block on about half the indices, exponents up to 3
+    on a Weyl index and up to 1 on a Clifford one."""
+    pairs = []
+    for i in range(sig.n):
+        top = 1 if sig.is_clifford(i) else 3
+        block = (0, 0)
+        while rng.random() < 0.5 and block == (0, 0):
+            block = (rng.randint(0, top), rng.randint(0, top))
+        pairs.append(block)
+    return tuple(pairs)
+
+
+def test_bracket_terms_match_paired_products():
+    rng = random.Random(907)
+    seen = set()
+    for _ in range(10_000):
+        parity = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 5)))
+        sig = Signature(rng.choice(["plus", "minus"]), parity)
+        pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+        maps = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(rng.choice([1, 1, 1, 2, 3])):
+                c = rng.choice([1, -1, 2, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                terms[_sparse_monomial(sig, rng)] = c
+            maps.append({m: c for m, c in terms.items() if c})
+        a, b = maps
+        got = liesuper._bracket_terms(
+            sig, liesuper._support_terms(sig, a), liesuper._support_terms(sig, b), pa, pb,
+        )
+        assert got == _paired_bracket(sig, a, b, pa, pb)
+        for m1 in a:
+            for m2 in b:
+                shared = [i for i in range(sig.n) if any(m1[i]) and any(m2[i])]
+                if not shared:
+                    vanishes = not _paired_bracket(sig, {m1: 1}, {m2: 1}, pa, pb)
+                    seen.add((sig.sign, "disjoint", vanishes))
+                for i in shared:
+                    contracts = m1[i][1] and m2[i][0] or m2[i][1] and m1[i][0]
+                    seen.add((sig.sign, "clifford" if sig.is_clifford(i) else "weyl",
+                              "contracting" if contracts else "touching"))
+    assert seen == {
+        (sign, kind, case)
+        for sign in ("plus", "minus")
+        for kind, case in [("disjoint", True), ("disjoint", False)] + [
+            (index, contact) for index in ("clifford", "weyl")
+            for contact in ("touching", "contracting")
+        ]
+    }
+
+
+@pytest.mark.parametrize("p, q, products", [(4, 4, 94), (16, 0, 206), (5, 27, 430), (32, 32, 878)])
+def test_raw_brackets_take_two_products_per_touching_pair(monkeypatch, p, q, products):
+    # gl at rank n has 7n - 9 relations whose images share an index
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _mono_product(*args)
+
+    pre = preset("gl", p, q)
+    monkeypatch.setattr(liesuper, "_mono_product", counting)
+    liesuper._raw_brackets(pre)
+    assert len(calls) == products == 2 * (7 * (p + q) - 9)
+
+
+def test_check_relations_scales_only_nonzero_relations(monkeypatch):
+    pre = preset("osp_odd", 4, 4)
+    calls = []
+    residual_terms = liesuper._residual_terms
+
+    def counting(*args):
+        calls.append(args)
+        return residual_terms(*args)
+
+    monkeypatch.setattr(liesuper, "_residual_terms", counting)
+    report = check_relations(pre, load_calibration(pre))
+    assert report.all_pass and len(report.results) == 220
+    # 182 relations have an empty raw bracket and no right-hand side
+    assert len(calls) == 38
+    # an empty raw bracket with a right-hand side still has a residual
+    wrong = liesuper.Relation(("h", 0), ("h", 1), ((("e", 0), 1),))
+    report = check_relations(dataclasses.replace(pre, relations=(wrong,)))
+    assert [(r.label, r.passed, r.residual) for r in report.results] == [
+        ("[h1,h2]", False, -pre.e_images[0]),
+    ]
 
 
 def test_check_relations_matches_oracle_on_fractional_images():
