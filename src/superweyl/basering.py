@@ -9,25 +9,29 @@ act through closed-form powers:
     lam(i,i) == +1:  tau_i^k(u_i) = u_i - k
     lam(i,i) == -1:  tau_i^k(u_i) = u_i for even k, 1 - u_i for odd k
 
-This module also hosts the two bridges with the superalgebra: ``iota_embed``
-(substitute u_i -> d_i x_i and normalize) and ``project_zero`` (rewrite the
-degree-zero part of an element as a reduced polynomial in the u_i).  Both
-are a change of basis between the powers u_i^e and the blocks x_i^k d_i^k,
-in closed form on each index:
+Three maps act one variable at a time, each through an integer row per
+index and exponent: ``tau_apply``, and the two bridges with the
+superalgebra, ``iota_embed`` (substitute u_i -> d_i x_i and normalize) and
+``project_zero`` (rewrite the degree-zero part of an element as a reduced
+polynomial in the u_i).  The rows are closed forms:
 
-    u^e = sum_k S(e + 1, k + 1) x^k d^k      (S: Stirling numbers, 2nd kind)
-    x^k d^k = (u - 1)(u - 2)...(u - k)      (falling-factorial rows)
+    tau^k:  u^d     -> (u - k)^d = sum_j C(d, j) (-k)^(d - j) u^j
+    iota:   u^e     -> sum_k S(e + 1, k + 1) x^k d^k   (S: Stirling, 2nd kind)
+    proj:   x^k d^k -> (u - 1)(u - 2)...(u - k)        (falling factorials)
 
-with u = 1 - x d and x d = 1 - u on a Clifford index.  Degree-zero blocks of
-distinct indices commute, so a bridge applies its integer rows one index at
-a time: index i costs one pass over the terms, each term replaced by the
-nonzero entries of its row, with each row built once per index.
+with u -> 1 - u for odd k, u = 1 - x d and x d = 1 - u on a Clifford
+index.  Distinct indices commute, so ``_per_index`` applies the rows one
+index at a time: index i costs one pass over the terms built so far, each
+term replaced by the nonzero entries of its row, with each row built once
+per index, and an index whose rows all map their exponent to itself costs
+no pass.  The fourth map, ``datum.derive_t``, starts from one key whose
+rows never meet, so it expands its outer product directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Sequence
 
 from .algebra import (
@@ -125,40 +129,26 @@ def tau_single(sig: Signature, i: int, k: int) -> BaseRingElement:
     """Image of u_i under the k-th power of tau_i, in closed form."""
     _exact(k)  # refuses a float or string shift on either kind of index
     int_tuple((k,), "shifts")  # and a Fraction one, as tau_apply does
-    u = BaseRingElement.u(sig, i)
-    if k == 0:
-        return u
-    if sig.is_clifford(i):
-        return u if k % 2 == 0 else BaseRingElement.one(sig) - u
-    return u - BaseRingElement.const(sig, k)
+    return tau_apply(tuple(k if j == i else 0 for j in range(sig.n)), BaseRingElement.u(sig, i))
 
 
 def tau_apply(exponents: Sequence[int], r: BaseRingElement) -> BaseRingElement:
-    """Apply the automorphism tau_1^e1 ... tau_n^en to a ring element."""
+    """Apply the automorphism tau_1^e1 ... tau_n^en to a ring element: u_i^d
+    becomes the binomial row ``_shift_row`` of (u_i - e_i)^d, or 1 - u_i for
+    odd e_i on a Clifford index."""
     sig = r.sig
     e = int_tuple(exponents, "exponent vector entries")
     if len(e) != sig.n:
         raise ValueError(f"exponent vector has length {len(e)}, expected {sig.n}")
-    images = [tau_single(sig, i, e[i]) if e[i] else None for i in range(sig.n)]
-    powers: dict[tuple[int, int], BaseRingElement] = {}  # (i, d) -> images[i] ** d
-    out: dict = {}
-    for exps, coeff in r.terms.items():
-        untouched = tuple(0 if images[i] and d else d for i, d in enumerate(exps))
-        term = BaseRingElement._raw(sig, {untouched: coeff})
-        for i, d in enumerate(exps):
-            if d and images[i]:
-                if (i, d) not in powers:
-                    powers[i, d] = images[i] ** d
-                term = term * powers[i, d]
-        accumulate_terms(out, term.terms.items())
-    return BaseRingElement._raw(sig, out)
+    rows = _per_index(sig, r.terms.items(), lambda i, d: _shift_row(sig.is_clifford(i), e[i], d))
+    return BaseRingElement._raw(sig, rows)
 
 
 def iota_embed(r: BaseRingElement) -> SuperElement:
     """Substitute u_i -> d_i x_i and normalize in the superalgebra: u_i^e
     becomes the Stirling row ``_power_row`` in the blocks x_i^k d_i^k."""
     sig = r.sig
-    blocks = _per_index(sig, r.terms.items(), _power_row)
+    blocks = _per_index(sig, r.terms.items(), lambda i, e: _power_row(sig.is_clifford(i), e))
     return SuperElement._raw(sig, {tuple(zip(key, key)): c for key, c in blocks.items()})
 
 
@@ -172,28 +162,32 @@ def project_zero(a: SuperElement) -> BaseRingElement:
         xs, ds = zip(*mono)
         if xs == ds:
             items.append((xs, coeff))
-    rows = _per_index(sig, items, lambda clifford, k: _expand_roots(clifford, _roots(-k)))
+    rows = _per_index(sig, items, lambda i, k: _expand_roots(sig.is_clifford(i), _roots(-k)))
     return BaseRingElement._raw(sig, rows)
 
 
 def _per_index(sig: Signature, items, row_of) -> dict:
     """Image of a combination of exponent tuples under the linear map that
     replaces, on every index i, exponent e by the integer coefficient list
-    ``row_of(sig.is_clifford(i), e)`` (entry k the coefficient of exponent
-    k).  The keys of ``items`` are distinct.  The sums run in integers over
-    the common denominator, each row is built once per index, and each
-    surviving key costs at most one Fraction."""
+    ``row_of(i, e)`` (entry k the coefficient of exponent k).  The keys of
+    ``items`` are distinct.  The sums run in integers over the common
+    denominator, each row is built once per index, an index whose rows all
+    map their exponent to itself costs no pass, and each surviving key costs
+    at most one Fraction."""
     items = list(items)
     den = lcm(*(coeff.denominator for _, coeff in items))
     acc = {key: coeff.numerator * (den // coeff.denominator) for key, coeff in items}
     for i in range(sig.n):
-        clifford = sig.is_clifford(i)
-        rows = {e: row_of(clifford, e) for e in {key[i] for key in acc}}
-        if rows == {0: [1]}:
-            continue  # every key has exponent 0 here, which maps to itself
+        rows, identity = {}, True
+        for e in {key[i] for key in acc}:
+            rows[e] = row = row_of(i, e)
+            identity = identity and row == [0] * e + [1]
+        if identity:
+            continue  # every row is the unit row of its exponent
         acc = accumulate_terms({}, (
-            (key[:i] + (k,) + key[i + 1:], c * s)
-            for key, c in acc.items() for k, s in enumerate(rows[key[i]]) if s
+            (pre + (k,) + post, c * s)
+            for key, c in acc.items() for pre, post in [(key[:i], key[i + 1:])]
+            for k, s in enumerate(rows[key[i]]) if s
         ))
     if den == 1:
         return acc
@@ -212,13 +206,13 @@ def _power_row(clifford: bool, e: int) -> list[int]:
     return row
 
 
-def _outer_product(factors) -> list[tuple[tuple[int, ...], int]]:
-    """Nonzero terms (exponent tuple, integer coefficient) of a product of
-    univariate factors, one integer coefficient list per variable in order."""
-    terms = [((), 1)]
-    for coeffs in factors:
-        terms = [(e + (j,), c * s) for e, c in terms for j, s in enumerate(coeffs) if s]
-    return terms
+def _shift_row(clifford: bool, k: int, d: int) -> list[int]:
+    """Coefficients of tau^k(u)^d = (u - k)^d in the powers u^j, j = 0..d:
+    the binomial row C(d, j) (-k)^(d - j).  On a Clifford index (d <= 1)
+    tau^k(u) is 1 - u for odd k and u for even k."""
+    if clifford and d:
+        return [1, -1] if k % 2 else [0, 1]
+    return [comb(d, j) * (-k) ** (d - j) for j in range(d + 1)]
 
 
 def _roots(k: int) -> range:

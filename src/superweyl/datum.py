@@ -23,7 +23,7 @@ from math import log10
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, _word_terms, int_tuple
-from .basering import BaseRingElement, _expand_roots, _outer_product, _roots, project_zero
+from .basering import BaseRingElement, _expand_roots, _roots, project_zero
 from .errors import InvalidGammaError, ResourceCapError
 
 
@@ -231,9 +231,10 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
 
     Row r with entry k contributes the factor with roots ``_roots(k)``; the
     factors live in distinct variables, so t_i is their outer product, with
-    a term per choice of one nonzero coefficient from every factor.  A t_i
-    of more than MAX_T_TERMS terms, or of more than MAX_T_DIGITS estimated
-    digits, raises ResourceCapError before any factor is expanded.
+    a term per choice of one nonzero coefficient from every factor, built
+    row by row.  No two terms share a key, so it needs no accumulator.  A
+    t_i of more than MAX_T_TERMS terms, or of more than MAX_T_DIGITS
+    estimated digits, raises ResourceCapError before any factor is expanded.
     """
     require_valid(gm)
     sig = gm.sig
@@ -248,8 +249,11 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
         raise ResourceCapError(
             f"t_{col + 1} has about {round(digits)} digits, over the digit cap {MAX_T_DIGITS}"
         )
-    factors = (_expand_roots(sig.is_clifford(r), _roots(k)) for r, k in enumerate(column))
-    return BaseRingElement._raw(sig, dict(_outer_product(factors)))
+    expanded = [((), 1)]
+    for r, k in enumerate(column):
+        row = _expand_roots(sig.is_clifford(r), _roots(k))
+        expanded = [(e + (j,), c * s) for e, c in expanded for j, s in enumerate(row) if s]
+    return BaseRingElement._raw(sig, dict(expanded))
 
 
 def _factor_terms(k: int) -> int:

@@ -43,6 +43,15 @@ checked against a base-ring polynomial without either bridge.
 ``validate_gamma`` on every column pair in turn, from the entry products of
 all rows, the way ``validate_gamma`` did before it visited only the pairs
 that share a nonzero row.
+
+``product_tau_apply`` is the eighth: it applies a shift automorphism term by
+term, multiplying the closed-form images u_i - k (or 1 - u_i) as
+``BaseRingElement`` powers kept per (index, exponent), the way ``tau_apply``
+did before it applied binomial rows one index at a time.
+
+``product_t`` is the ninth: it builds t_i as the ``BaseRingElement`` product
+of its row factors, each factor the product of its linear factors u_r - root
+(or 1 - u_r on a Clifford row), with no coefficient rows.
 """
 
 import itertools
@@ -50,6 +59,7 @@ import itertools
 from fractions import Fraction
 
 from superweyl import (
+    BaseRingElement,
     GammaMatrix,
     Signature,
     SuperElement,
@@ -151,6 +161,52 @@ def substituted_iota(r):
         word = [(kind, i) for i, e in enumerate(exps) for _ in range(e) for kind in "dx"]
         out = out + coeff * word_element(sig, word)
     return out
+
+
+def product_tau_apply(exponents, r):
+    """tau_1^e1 ... tau_n^en applied to r through ring products: each term's
+    shifted variables are replaced by powers of their images, cached per
+    (index, exponent)."""
+    sig = r.sig
+    one = BaseRingElement.one(sig)
+    images = [None] * sig.n
+    for i, k in enumerate(exponents):
+        u = BaseRingElement.u(sig, i)
+        if k and sig.is_clifford(i):
+            images[i] = one - u if k % 2 else u
+        elif k:
+            images[i] = u - BaseRingElement.const(sig, k)
+    powers = {}
+    out = BaseRingElement.zero(sig)
+    for exps, coeff in r.terms.items():
+        untouched = tuple(0 if images[i] and d else d for i, d in enumerate(exps))
+        term = BaseRingElement(sig, {untouched: coeff})
+        for i, d in enumerate(exps):
+            if d and images[i]:
+                if (i, d) not in powers:
+                    powers[i, d] = images[i] ** d
+                term = term * powers[i, d]
+        out = out + term
+    return out
+
+
+def product_t(gm, col):
+    """t_col as a product of ring elements: on row r with entry k, the
+    factors u_r (u_r + 1) ... (u_r + k - 1) for k > 0 and (u_r - 1) ...
+    (u_r - |k|) for k < 0, and 1 - u_r for k = -1 on a Clifford row."""
+    sig = gm.sig
+    one = BaseRingElement.one(sig)
+    t = one
+    for r, k in enumerate(gm.column(col)):
+        u = BaseRingElement.u(sig, r)
+        factor = one
+        if sig.is_clifford(r) and k < 0:
+            factor = one - u
+        else:
+            for s in range(k) if k > 0 else range(-1, k - 1, -1):
+                factor = factor * (u + BaseRingElement.const(sig, s))
+        t = t * factor
+    return t
 
 
 def sample_basis(sig, rng, max_poly=2):

@@ -19,7 +19,9 @@ from superweyl import (
     word_element,
 )
 from superweyl.basering import _power_row, tau_apply, tau_single
-from helpers import act, basis_vec, fock_values, random_signature, substituted_iota
+from helpers import (
+    act, basis_vec, fock_values, product_tau_apply, random_signature, substituted_iota,
+)
 
 MINUS_11 = Signature("minus", (0, 1))  # index 0 Weyl-like, index 1 Clifford
 
@@ -214,6 +216,95 @@ def test_tau_apply_many_terms_matches_termwise():
         for exps, c in r.terms.items():
             termwise = termwise + tau_apply(shift, BaseRingElement(sig, {exps: c}))
         assert tau_apply(shift, r) == termwise
+
+
+ALL_SIGNATURES = [
+    Signature(sign, parity) for n in range(1, 5) for sign in ("plus", "minus")
+    for parity in itertools.product((0, 1), repeat=n)
+]
+
+
+def _tau_case(sig, rng):
+    """An element of up to four terms, zero one time in ten, with int or
+    Fraction coefficients, and a shift vector with entries in -4..4."""
+    terms = {}
+    for _ in range(0 if rng.random() < 0.1 else rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 4) for _ in range(sig.n))
+        c = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        terms[exps] = terms.get(exps, 0) + c
+    return tuple(rng.randint(-4, 4) for _ in range(sig.n)), BaseRingElement(sig, terms)
+
+
+def test_tau_apply_matches_the_product_oracle():
+    rng = random.Random(1806)
+    zeros = 0
+    for count in range(2000):
+        shift, r = _tau_case(ALL_SIGNATURES[count % len(ALL_SIGNATURES)], rng)
+        got, expected = tau_apply(shift, r), product_tau_apply(shift, r)
+        assert got == expected
+        assert str(got) == str(expected)
+        zeros += r.is_zero
+    assert zeros > 100
+
+
+def test_tau_apply_coefficient_types_follow_the_common_denominator():
+    # as in iota_embed: all ints when the coefficients share denominator 1,
+    # all Fractions otherwise, integral ones included
+    rng = random.Random(1807)
+    integral_fractions = 0
+    for count in range(500):
+        shift, r = _tau_case(ALL_SIGNATURES[count % len(ALL_SIGNATURES)], rng)
+        integral = all(c.denominator == 1 for c in r.terms.values())
+        kinds = {type(c) for c in tau_apply(shift, r).terms.values()}
+        assert kinds <= ({int} if integral else {Fraction})
+        integral_fractions += integral and Fraction in {type(c) for c in r.terms.values()}
+    assert integral_fractions > 20
+    sig = Signature("minus", (0, 1))
+    got = tau_apply((1, 1), BaseRingElement(sig, {(1, 0): Fraction(4, 2)}))
+    assert got.terms == {(1, 0): 2, (0, 0): -2}
+    assert all(type(c) is int for c in got.terms.values())
+    got = tau_apply((1, 1), BaseRingElement(sig, {(1, 1): Fraction(1, 2), (0, 0): 3}))
+    assert got.terms == {
+        (0, 0): Fraction(5, 2), (1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
+        (1, 1): Fraction(-1, 2),
+    }
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_tau_apply_builds_each_row_once_and_takes_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ring product was taken")
+
+    monkeypatch.setattr(BaseRingElement, "__mul__", refuse)
+    monkeypatch.setattr(BaseRingElement, "__pow__", refuse)
+    rows, passes = [], []
+
+    def counting_row(*args, row=superweyl.basering._shift_row):
+        rows.append(args)
+        return row(*args)
+
+    def counting_pass(acc, items, accumulate=superweyl.basering.accumulate_terms):
+        passes.append(None)
+        return accumulate(acc, items)
+
+    monkeypatch.setattr(superweyl.basering, "_shift_row", counting_row)
+    monkeypatch.setattr(superweyl.basering, "accumulate_terms", counting_pass)
+    sig = Signature("minus", (0, 1, 0, 1, 0))
+    r = BaseRingElement(sig, {
+        (3, 1, 2, 1, 4): 1, (3, 0, 2, 1, 0): Fraction(1, 2),
+        (0, 1, 5, 0, 4): -4, (3, 1, 0, 1, 1): 2,
+    })
+    distinct = len({(i, e) for key in r.terms for i, e in enumerate(key)})
+    # index 1 takes an odd Clifford shift and index 2 a Weyl shift; index 0
+    # has shift 0 and index 3 an even Clifford shift, so neither costs a pass
+    got = tau_apply((0, 3, -2, 2, 0), r)
+    assert len(rows) == distinct and len(passes) == 2
+    rows.clear()
+    passes.clear()
+    assert tau_apply((0, 0, 0, 4, 0), r) == r and passes == []
+    assert str(tau_single(sig, 1, 3)) == "1 - u2" and str(tau_single(sig, 2, -2)) == "2 + u3"
+    monkeypatch.undo()
+    assert got == product_tau_apply((0, 3, -2, 2, 0), r)
 
 
 @pytest.mark.parametrize("i", [0, 1], ids=["weyl index", "clifford index"])

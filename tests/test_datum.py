@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,7 @@ from helpers import (
     dense_validation,
     expanded_consistency,
     product_eval_word,
+    product_t,
     random_valid_gamma,
     widen_weyl_entries,
 )
@@ -530,20 +533,25 @@ def test_entry_cap_boundary():
 
 
 def test_derive_t_matches_factor_products():
-    # the outer product of row factors equals the product of ring elements
+    # the outer product of row factors equals the product of ring elements,
+    # term for term with int coefficients, and renders the same
     rng = random.Random(5)
-    for _ in range(200):
-        gm = random_valid_gamma(rng, max_n=4, max_m=3)
-        sig = gm.sig
+    matrices = [random_valid_gamma(rng, max_n=4, max_m=3) for _ in range(200)]
+    matrices += [widen_weyl_entries(random_valid_gamma(rng, max_n=4, max_m=3), rng, top=4)
+                 for _ in range(200)]
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    matrices += [gamma_from_dict(json.loads(path.read_text()))
+                 for path in sorted(samples.glob("*.json"))]
+    matrices += [zeta_matrix(family, p, 8 - p) for family in ("gl", "osp_even", "osp_odd")
+                 for p in range(9) if (family, p) != ("osp_even", 8)]
+    matrices += [GammaMatrix(Signature("minus", (0, 0)), ((k,), (-99,))) for k in (99, 100)]
+    for gm in matrices:
         for c in range(gm.m):
-            t = one(sig)
-            for r, k in enumerate(gm.column(c)):
-                if sig.is_clifford(r) and k < 0:
-                    t = t * (one(sig) - u(sig, r))
-                    continue
-                for s in range(k) if k > 0 else range(-1, k - 1, -1):
-                    t = t * (u(sig, r) + BaseRingElement.const(sig, s))
-            assert derive_t(gm, c) == t
+            t, expected = derive_t(gm, c), product_t(gm, c)
+            assert t.terms == expected.terms
+            assert all(type(coeff) is int for coeff in t.terms.values())
+            assert str(t) == str(expected)
+    assert len(t.terms) == MAX_T_TERMS
 
 
 def test_t_term_count_is_known_before_expansion():
@@ -570,6 +578,8 @@ def test_t_term_cap_boundary(monkeypatch):
     over = GammaMatrix(Signature("minus", (0, 0, 0)), ((1, 0), (0, 100), (0, -100)))
     with pytest.raises(ResourceCapError, match="t_2 has 10100 terms, over the term cap 10000"):
         derive_t(over, 1)
+    with pytest.raises(ResourceCapError, match="t_1 has 10001 terms, over the term cap 10000"):
+        derive_t(GammaMatrix(sig, ((73,), (-136,))), 0)
     monkeypatch.undo()
     datum = derive_datum(over)
     with pytest.raises(ResourceCapError, match="t_2 has 10100 terms"):
