@@ -90,25 +90,24 @@ class Signature:
         return len(self.parity)
 
     @cached_property
-    def _lam(self) -> tuple[tuple[int, ...], ...]:
-        base = -1 if self.sign == "plus" else 1
-        p = self.parity
-        return tuple(
-            tuple(-base if p[i] and p[j] else base for j in range(self.n))
-            for i in range(self.n)
-        )
+    def _clifford(self) -> tuple[bool, ...]:
+        # lam(i, i) == -1: odd indices on minus, even indices on plus
+        plus = self.sign == "plus"
+        return tuple(p != plus for p in self.parity)
 
     def lam(self, i: int, j: int) -> int:
-        """Scalar picked up when generators of indices i and j swap."""
-        return self._lam[i][j]
+        """Scalar picked up when generators of indices i and j swap:
+        base * (-1)^(p(i)p(j)), with base -1 for plus and +1 for minus."""
+        base = -1 if self.sign == "plus" else 1
+        return base * (-1) ** (self.parity[i] * self.parity[j])
 
     def is_clifford(self, i: int) -> bool:
         """True when the generators of index i square to zero."""
-        return self._lam[i][i] == -1
+        return self._clifford[i]
 
     @cached_property
     def clifford_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.is_clifford(i))
+        return tuple(i for i, cliff in enumerate(self._clifford) if cliff)
 
 
 def accumulate_terms(acc: dict, items: Iterable) -> dict:
@@ -167,18 +166,18 @@ def _mono_product(sig: Signature, m1: SuperMonomial, m2: SuperMonomial) -> list:
     Indices without a d^b x^c contraction take the summed exponents; the
     terms are the outer product over the contracted indices.
     """
-    lam = sig._lam
+    cliff = sig._clifford
     pairs = []
     contracted = []
     for i, ((a1, b1), (a2, b2)) in enumerate(zip(m1, m2)):
         if b1 and a2:
             contracted.append(i)
-        elif lam[i][i] < 0 and (a1 + a2 > 1 or b1 + b2 > 1):
+        elif cliff[i] and (a1 + a2 > 1 or b1 + b2 > 1):
             return []
         pairs.append((a1 + a2, b1 + b2))
     terms = [(tuple(pairs), _cross_sign(sig, m1, m2))]
     for i in contracted:
-        options = _contraction(lam[i][i] < 0, *m1[i], *m2[i])
+        options = _contraction(cliff[i], *m1[i], *m2[i])
         terms = [(m[:i] + (pair,) + m[i + 1:], c * s) for m, c in terms for pair, s in options]
     return terms
 

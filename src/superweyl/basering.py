@@ -24,8 +24,9 @@ index.  Distinct indices commute, so ``_per_index`` applies the rows one
 index at a time: index i costs one pass over the terms built so far, each
 term replaced by the nonzero entries of its row, with each row built once
 per index, and an index whose rows all map their exponent to itself costs
-no pass.  The fourth map, ``datum.derive_t``, starts from one key whose
-rows never meet, so it expands its outer product directly.
+no pass.  The fourth map, ``datum.derive_t``, is one ``_per_index`` call on
+a column, whose entries k take the rows of the factors with roots
+``_roots(k)``.
 """
 
 from __future__ import annotations
@@ -167,13 +168,16 @@ def project_zero(a: SuperElement) -> BaseRingElement:
 
 
 def _per_index(sig: Signature, items, row_of) -> dict:
-    """Image of a combination of exponent tuples under the linear map that
-    replaces, on every index i, exponent e by the integer coefficient list
-    ``row_of(i, e)`` (entry k the coefficient of exponent k).  The keys of
-    ``items`` are distinct.  The sums run in integers over the common
-    denominator, each row is built once per index, an index whose rows all
-    map their exponent to itself costs no pass, and each surviving key costs
-    at most one Fraction."""
+    """Image of a combination of integer tuples under the linear map that
+    replaces, on every index i, key entry e by the integer coefficient list
+    ``row_of(i, e)`` (entry k the coefficient of exponent k).  A key entry is
+    any int that ``row_of`` takes, an exponent or a column entry; the keys of
+    ``items`` are distinct, with nonzero coefficients.  The sums run in
+    integers over the common denominator, each row is built once per index,
+    an index whose rows all map their entry to itself costs no pass, and each
+    surviving key costs at most one Fraction.  Where every key has the same
+    entry at index i, two keys differ elsewhere, so no two images meet and
+    the pass builds its dict directly; otherwise it accumulates."""
     items = list(items)
     den = lcm(*(coeff.denominator for _, coeff in items))
     acc = {key: coeff.numerator * (den // coeff.denominator) for key, coeff in items}
@@ -183,12 +187,13 @@ def _per_index(sig: Signature, items, row_of) -> dict:
             rows[e] = row = row_of(i, e)
             identity = identity and row == [0] * e + [1]
         if identity:
-            continue  # every row is the unit row of its exponent
-        acc = accumulate_terms({}, (
+            continue  # every row is the unit row of its entry
+        terms = (
             (pre + (k,) + post, c * s)
             for key, c in acc.items() for pre, post in [(key[:i], key[i + 1:])]
             for k, s in enumerate(rows[key[i]]) if s
-        ))
+        )
+        acc = dict(terms) if len(rows) == 1 else accumulate_terms({}, terms)
     if den == 1:
         return acc
     return {key: Fraction(v, den) for key, v in acc.items()}

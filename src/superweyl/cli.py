@@ -286,36 +286,29 @@ def _cmd_lie_check(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-class _LazySubParsers(argparse._SubParsersAction):
-    """Subcommand action that builds a subcommand's parser only once it is chosen.
+class _ParserOnDemand:
+    """The ``parser_class`` of every subcommand: ``add_parser`` makes one per
+    subcommand, which keeps its builder and the keyword arguments argparse
+    passes (``prog``), and builds the real parser only once its subcommand
+    is chosen.  Choices, usage, ``invalid choice`` errors and help listings
+    come from the subparsers action, as with eagerly built parsers."""
 
-    ``add_parser`` records the help line and keeps the builder where argparse
-    keeps the parser, so choices, usage, ``invalid choice`` errors and help
-    listings come out as with eagerly built parsers.  This leans on argparse
-    internals (``_SubParsersAction``, ``_ChoicesPseudoAction``,
-    ``_name_parser_map``, ``_prog_prefix``), checked on Python 3.11.7 only;
-    the pinned help and usage tests in tests/test_cli.py catch drift.
-    """
+    def __init__(self, build, **kwargs):
+        self.build, self.kwargs = build, kwargs
 
-    def add_parser(self, name, build, help):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = build
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        sub = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}")
-        self._name_parser_map[name](sub)
-        self._name_parser_map[name] = sub
-        super().__call__(parser, namespace, values, option_string)
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        self.build(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _subcommands(dest: str, *entries):
     """Builder of a parser whose next positional picks one of the
     (name, builder, help) entries."""
     def build(p):
-        sub = p.add_subparsers(dest=dest, required=True, action=_LazySubParsers)
+        sub = p.add_subparsers(dest=dest, required=True, parser_class=_ParserOnDemand)
         for name, build_sub, help in entries:
-            sub.add_parser(name, build_sub, help)
+            sub.add_parser(name, build=build_sub, help=help)
     return build
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import log10
+from math import lgamma, log
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, _word_terms, int_tuple
-from .basering import BaseRingElement, _expand_roots, _roots, project_zero
+from .basering import BaseRingElement, _expand_roots, _per_index, _roots, project_zero
 from .errors import InvalidGammaError, ResourceCapError
 
 
@@ -219,10 +219,11 @@ MAX_T_TERMS = 10_000
 
 # Most digits one t_i may hold, estimated from the entries: the term count
 # times the sum over rows of 1 + log10 of the product of 1 + |r| over the
-# row's roots r.  That product bounds every coefficient of the row's factor,
-# so the estimate bounds the digits of t_i.  [[1000], [-9]], at the term cap
-# with coefficients of about 2,570 digits, estimates 25.8 million and would
-# print 15.5 MB; [[300], [-30]] estimates 6.0 million.
+# row's roots r, which is |k|! for an entry k > 0 and (|k| + 1)! for k < 0.
+# That product bounds every coefficient of the row's factor, so the estimate
+# bounds the digits of t_i.  [[1000], [-9]], at the term cap with
+# coefficients of about 2,570 digits, estimates 25.8 million and would print
+# 15.5 MB; [[300], [-30]] estimates 6.0 million.
 MAX_T_DIGITS = 10_000_000
 
 
@@ -230,37 +231,37 @@ def derive_t(gm: GammaMatrix, col: int) -> BaseRingElement:
     """Central element t_i = product over rows of the paired-word factor.
 
     Row r with entry k contributes the factor with roots ``_roots(k)``; the
-    factors live in distinct variables, so t_i is their outer product, with
-    a term per choice of one nonzero coefficient from every factor, built
-    row by row.  No two terms share a key, so it needs no accumulator.  A
-    t_i of more than MAX_T_TERMS terms, or of more than MAX_T_DIGITS
-    estimated digits, raises ResourceCapError before any factor is expanded.
+    factors live in distinct variables, so t_i is their outer product, one
+    ``_per_index`` pass per row from the column as its one key, each a
+    direct pass, since no two terms ever share a key.  A t_i of more than
+    MAX_T_TERMS terms, or of more than MAX_T_DIGITS estimated digits, raises
+    ResourceCapError before any factor is expanded.
     """
     require_valid(gm)
     sig = gm.sig
     column = gm.column(col)
-    terms = 1
-    for k in column:
-        terms *= _factor_terms(k)
+    terms, digits = _t_size(column)
     if terms > MAX_T_TERMS:
         raise ResourceCapError(f"t_{col + 1} has {terms} terms, over the term cap {MAX_T_TERMS}")
-    digits = terms * sum(1 + sum(log10(1 + abs(r)) for r in _roots(k)) for k in column)
     if digits > MAX_T_DIGITS:
         raise ResourceCapError(
             f"t_{col + 1} has about {round(digits)} digits, over the digit cap {MAX_T_DIGITS}"
         )
-    expanded = [((), 1)]
-    for r, k in enumerate(column):
-        row = _expand_roots(sig.is_clifford(r), _roots(k))
-        expanded = [(e + (j,), c * s) for e, c in expanded for j, s in enumerate(row) if s]
-    return BaseRingElement._raw(sig, dict(expanded))
+    return BaseRingElement._raw(sig, _per_index(
+        sig, [(column, 1)], lambda r, k: _expand_roots(sig.is_clifford(r), _roots(k))))
 
 
-def _factor_terms(k: int) -> int:
-    """Nonzero coefficients of the factor entry k puts on its row: one more
-    than its |k| roots, less the constant term when 0 is a root (k > 0).  The
-    other roots share one sign, so no other coefficient vanishes."""
-    return len(_roots(k)) + (k <= 0)
+def _t_size(column: Sequence[int]) -> tuple[int, float]:
+    """Term count and digit estimate (see MAX_T_DIGITS) of a column's t_i, in
+    O(rows).  Entry k puts |k| roots on its row, with no two of opposite sign,
+    so its factor has |k| + 1 nonzero coefficients, less the constant term
+    when 0 is a root (k > 0); the product of 1 + |r| over its roots is
+    Gamma(|k| + 1 + (k < 0))."""
+    terms, logs = 1, 0.0
+    for k in column:
+        terms *= abs(k) + (k <= 0)
+        logs += lgamma(abs(k) + 1 + (k < 0))
+    return terms, terms * (len(column) + logs / log(10))
 
 
 def derive_mu(gm: GammaMatrix):

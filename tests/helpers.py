@@ -57,6 +57,7 @@ of its row factors, each factor the product of its linear factors u_r - root
 import itertools
 
 from fractions import Fraction
+from math import log10
 
 from superweyl import (
     BaseRingElement,
@@ -69,6 +70,7 @@ from superweyl import (
     validate_gamma,
     word_element,
 )
+from superweyl.basering import _roots
 from superweyl.datum import ValidationReport
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
@@ -207,6 +209,17 @@ def product_t(gm, col):
                 factor = factor * (u + BaseRingElement.const(sig, s))
         t = t * factor
     return t
+
+
+def per_root_t_size(column):
+    """Term count and digit estimate of a column's t_i, root by root, as
+    ``derive_t`` once computed them: a factor per entry k with len(_roots(k))
+    + (k <= 0) nonzero coefficients, and 1 + log10 of the product of 1 + |r|
+    over its roots, one log10 per root."""
+    terms = 1
+    for k in column:
+        terms *= len(_roots(k)) + (k <= 0)
+    return terms, terms * sum(1 + sum(log10(1 + abs(r)) for r in _roots(k)) for k in column)
 
 
 def sample_basis(sig, rng, max_poly=2):

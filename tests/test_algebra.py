@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -58,16 +59,23 @@ def test_signature_validation():
 
 
 def test_lambda_table():
-    for sig in (Signature("minus", (0, 0, 1, 1)), Signature("plus", (0, 0, 1, 1))):
-        n = sig.n
-        for i in range(n):
-            for j in range(n):
-                assert sig.lam(i, j) in (-1, 1)
-                assert sig.lam(i, j) == sig.lam(j, i)
-        for i in range(n):
-            odd = sig.parity[i] == 1
-            expected_clifford = odd if sig.sign == "minus" else not odd
-            assert sig.is_clifford(i) == expected_clifford
+    # every entry, off the diagonal too, against base * (-1)^(p(i)p(j)) for
+    # every signature with n <= 4; the Clifford flags are the diagonal's -1s
+    for n in range(1, 5):
+        for parity in itertools.product((0, 1), repeat=n):
+            for sign, base in (("minus", 1), ("plus", -1)):
+                sig = Signature(sign, parity)
+                for i in range(n):
+                    for j in range(n):
+                        lam = sig.lam(i, j)
+                        assert type(lam) is int and lam == sig.lam(j, i)
+                        assert lam == (-base if parity[i] and parity[j] else base)
+                    odd = parity[i] == 1
+                    assert sig.is_clifford(i) == (odd if sign == "minus" else not odd)
+                    assert sig.is_clifford(i) == (sig.lam(i, i) == -1)
+                assert sig.clifford_indices == tuple(i for i in range(n) if sig.is_clifford(i))
+                with pytest.raises(IndexError):
+                    sig.lam(0, n)
 
 
 def test_mono_mul_defining_relation():

@@ -10,9 +10,11 @@ import superweyl.algebra
 import superweyl.basering
 from superweyl import (
     BaseRingElement,
+    GammaMatrix,
     Signature,
     SignatureMismatchError,
     SuperElement,
+    derive_t,
     equals,
     iota_embed,
     project_zero,
@@ -20,7 +22,7 @@ from superweyl import (
 )
 from superweyl.basering import _power_row, tau_apply, tau_single
 from helpers import (
-    act, basis_vec, fock_values, product_tau_apply, random_signature, substituted_iota,
+    act, basis_vec, fock_values, product_t, product_tau_apply, random_signature, substituted_iota,
 )
 
 MINUS_11 = Signature("minus", (0, 1))  # index 0 Weyl-like, index 1 Clifford
@@ -305,6 +307,49 @@ def test_tau_apply_builds_each_row_once_and_takes_no_product(monkeypatch):
     assert str(tau_single(sig, 1, 3)) == "1 - u2" and str(tau_single(sig, 2, -2)) == "2 + u3"
     monkeypatch.undo()
     assert got == product_tau_apply((0, 3, -2, 2, 0), r)
+
+
+def test_per_index_passes_directly_where_all_keys_share_their_entry(monkeypatch):
+    # a pass at an index where every key has one entry builds its dict
+    # directly (no two images can meet); the others accumulate
+    maps = {
+        "iota": lambda r: iota_embed(r).terms,
+        "proj": lambda r: project_zero(iota_embed(r)).terms,
+        "t": lambda gm: derive_t(gm, 0).terms,
+    }
+    sig = Signature("minus", (0, 0, 1))
+    one_key = BaseRingElement(sig, {(5, 3, 1): 2})
+    shared = BaseRingElement(sig, {(4, 1, 1): 1, (4, 3, 0): Fraction(-1, 3)})
+    column = GammaMatrix(sig, ((6,), (-4,), (-1,)))
+    cases = [
+        # one key: three direct passes out, three accumulating passes back
+        ("iota", one_key, 3, 0), ("proj", one_key, 3, 3),
+        # index 0 shares entry 4; indices 1 and 2 have two entries each
+        ("iota", shared, 1, 2),
+        # t_i is one key throughout: a direct pass per row
+        ("t", column, 3, 0),
+    ]
+    expected = [maps[kind](arg) for kind, arg, _, _ in cases]
+    direct, accumulated = [], []
+
+    def counting_dict(*args, make=dict):
+        direct.append(None)
+        return make(*args)
+
+    def counting_pass(acc, items, accumulate=superweyl.basering.accumulate_terms):
+        accumulated.append(None)
+        return accumulate(acc, items)
+
+    monkeypatch.setattr(superweyl.basering, "dict", counting_dict, raising=False)
+    monkeypatch.setattr(superweyl.basering, "accumulate_terms", counting_pass)
+    for (kind, arg, n_direct, n_accumulated), want in zip(cases, expected):
+        direct.clear()
+        accumulated.clear()
+        assert maps[kind](arg) == want
+        assert (len(direct), len(accumulated)) == (n_direct, n_accumulated), kind
+    monkeypatch.undo()
+    assert BaseRingElement(sig, expected[3]) == product_t(column, 0)
+    assert project_zero(iota_embed(shared)) == shared
 
 
 @pytest.mark.parametrize("i", [0, 1], ids=["weyl index", "clifford index"])

@@ -9,7 +9,7 @@ import pytest
 import superweyl.basering
 import superweyl.datum
 from superweyl.datum import (
-    MAX_CONSISTENCY_INSTANCES, MAX_ENTRY, MAX_T_DIGITS, MAX_T_TERMS, MAX_WORD_DEGREE,
+    MAX_CONSISTENCY_INSTANCES, MAX_ENTRY, MAX_T_DIGITS, MAX_T_TERMS, MAX_WORD_DEGREE, _t_size,
 )
 from superweyl import (
     BaseRingElement,
@@ -46,6 +46,7 @@ from helpers import (
     closed_form_consistency,
     dense_validation,
     expanded_consistency,
+    per_root_t_size,
     product_eval_word,
     product_t,
     random_valid_gamma,
@@ -566,6 +567,32 @@ def test_t_term_count_is_known_before_expansion():
             assert len(derive_t(gm, c).terms) == expected
 
 
+def test_t_size_matches_the_per_root_oracle():
+    # the closed form against the root-by-root estimate it replaced, on every
+    # single entry up to the entry cap and on 1,000 seeded columns
+    def check(column):
+        terms, digits = _t_size(column)
+        want_terms, want_digits = per_root_t_size(column)
+        assert terms == want_terms
+        assert digits == pytest.approx(want_digits, rel=1e-9, abs=0)
+
+    for k in range(-MAX_ENTRY, MAX_ENTRY + 1):
+        check((k,))
+    rng = random.Random(29)
+    for count in range(1000):
+        gm = random_valid_gamma(rng, max_n=4, max_m=1)
+        check(widen_weyl_entries(gm, rng).column(0) if count % 2 else gm.column(0))
+    # where t_i is small enough to expand, on Weyl rows and on Clifford rows
+    # (|k| <= 1), the term count is exact and the estimate bounds the digits
+    for parity, entries in ((0, range(-40, 41)), (1, (-1, 1))):
+        for k in entries:
+            if k:
+                t = derive_t(GammaMatrix(Signature("minus", (parity,)), ((k,),)), 0)
+                terms, digits = _t_size((k,))
+                assert len(t.terms) == terms
+                assert sum(len(str(abs(c))) for c in t.terms.values()) <= digits
+
+
 def test_t_term_cap_boundary(monkeypatch):
     sig = Signature("minus", (0, 0))
     # u (u + 1) ... (u + 99) and (u - 1) ... (u - 99): 100 nonzero coefficients each
@@ -575,6 +602,7 @@ def test_t_term_cap_boundary(monkeypatch):
         raise AssertionError("a row factor was expanded")
 
     monkeypatch.setattr(superweyl.datum, "_expand_roots", refuse)
+    monkeypatch.setattr(superweyl.datum, "_per_index", refuse)
     over = GammaMatrix(Signature("minus", (0, 0, 0)), ((1, 0), (0, 100), (0, -100)))
     with pytest.raises(ResourceCapError, match="t_2 has 10100 terms, over the term cap 10000"):
         derive_t(over, 1)
@@ -598,6 +626,7 @@ def test_t_digit_cap_boundary(monkeypatch):
         raise AssertionError("a row factor was expanded")
 
     monkeypatch.setattr(superweyl.datum, "_expand_roots", refuse)
+    monkeypatch.setattr(superweyl.datum, "_per_index", refuse)
     for column, estimate in (((468,), (-19,)), "1000158[78]"), (((1000,), (-9,)), "2576164[45]"):
         with pytest.raises(ResourceCapError,
                            match=f"t_1 has about {estimate} digits, over the digit cap 10000000"):
