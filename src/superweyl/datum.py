@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lgamma, log
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import Signature, SuperElement, _word_terms, int_tuple
@@ -65,10 +66,20 @@ class GammaMatrix:
         return tuple(sum(abs(row[c]) for row in self.rows) for c in range(self.m))
 
     @cached_property
-    def touches_clifford(self) -> tuple[bool, ...]:
-        """Per column, whether it has a nonzero entry on some Clifford row."""
-        cliff = [self.rows[r] for r in self.sig.clifford_indices]
-        return tuple(any(row[c] for row in cliff) for c in range(self.m))
+    def clifford_view(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+        """(Clifford rows, plus, minus), built in one pass on first read: bit k
+        of ``plus[c]`` (``minus[c]``) is set when column c is positive
+        (negative; 1 and -1 on a valid matrix) on the k-th Clifford row, so a
+        column touches a Clifford row iff its two masks are not both zero."""
+        cliff = tuple(self.rows[r] for r in self.sig.clifford_indices)
+        plus, minus = [0] * self.m, [0] * self.m
+        for k, row in enumerate(cliff):
+            for c, v in enumerate(row):
+                if v > 0:
+                    plus[c] |= 1 << k
+                elif v < 0:
+                    minus[c] |= 1 << k
+        return cliff, tuple(plus), tuple(minus)
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -79,7 +90,7 @@ class GammaMatrix:
         """Image of g under the linear map Z^m -> Z^n."""
         if len(g) != self.m:
             raise ValueError(f"vector has length {len(g)}, expected {self.m}")
-        return tuple(sum(row[c] * g[c] for c in range(self.m)) for row in self.rows)
+        return tuple(sum(map(mul, row, g)) for row in self.rows)
 
 
 def identity_gamma(sig: Signature) -> GammaMatrix:
@@ -386,6 +397,12 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     with no polynomial arithmetic, and there are O(m^3) instances.  More
     than MAX_CONSISTENCY_INSTANCES of them raise ResourceCapError before any
     is checked.
+
+    Only the instances whose columns share a row are computed.  When
+    columns i and j share none, sigma_j fixes t_i and sigma_i fixes t_j, so
+    both sides of the pair are the nonzero t_i t_j and the pair holds iff
+    mu_ij mu_ji = 1.  A triple where i or k shares no row with j holds: say
+    sigma_i fixes t_j, then both sides are sigma_k(t_j) t_j.
     """
     gm, sigma, mu = datum.gm, datum.sigma, datum.mu
     m = gm.m
@@ -408,27 +425,38 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
             out[r] = _times_factor(out[r], g, cliff[r]) if r in out else g
         return out
 
+    rows_of = [sum(1 << r for r in f) for f in t]  # per column, a bitmask of its rows
+
     instances: list[ConsistencyInstance] = []
     for i in range(m):
         for j in range(i + 1, m):
-            si, sj = sigma[i], sigma[j]
-            both = tuple(a + b for a, b in zip(si, sj))
-            lhs = times(shifted(i, both), shifted(j, both))
-            rhs = times(shifted(i, si), shifted(j, sj))
-            holds = _same_tensor(lhs, rhs, mu[i][j] * mu[j][i])
+            scalar = mu[i][j] * mu[j][i]
+            if rows_of[i] & rows_of[j]:
+                si, sj = sigma[i], sigma[j]
+                both = tuple(a + b for a, b in zip(si, sj))
+                lhs = times(shifted(i, both), shifted(j, both))
+                rhs = times(shifted(i, si), shifted(j, sj))
+                holds = _same_tensor(lhs, rhs, scalar)
+            else:
+                # sigma_j fixes t_i and sigma_i fixes t_j: both sides are t_i t_j
+                holds = scalar == 1
             instances.append(ConsistencyInstance("pair", (i, j), holds))
     for j in range(m):
+        meets = [bool(rows & rows_of[j]) for rows in rows_of]
         for i in range(m):
             if i == j:
                 continue
             for k in range(i + 1, m):
                 if k == j:
                     continue
-                si, sk = sigma[i], sigma[k]
-                both = tuple(a + b for a, b in zip(si, sk))
-                lhs = times(shifted(j, both), t[j])
-                rhs = times(shifted(j, si), shifted(j, sk))
-                instances.append(ConsistencyInstance("triple", (i, j, k), _same_tensor(lhs, rhs)))
+                holds = True  # sigma_i or sigma_k fixes t_j, and the factors commute
+                if meets[i] and meets[k]:
+                    si, sk = sigma[i], sigma[k]
+                    both = tuple(a + b for a, b in zip(si, sk))
+                    lhs = times(shifted(j, both), t[j])
+                    rhs = times(shifted(j, si), shifted(j, sk))
+                    holds = _same_tensor(lhs, rhs)
+                instances.append(ConsistencyInstance("triple", (i, j, k), holds))
     return ConsistencyReport(instances)
 
 

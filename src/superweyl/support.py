@@ -36,10 +36,14 @@ a point-by-point scan would not:
   column order.  A branch all of whose points are such is handed over as
   its range of last entries, with no work per point.
 
-Work that does not depend on the point is done once: which columns touch a
-Clifford row once per matrix, the letters once per sign pattern, and the
-signs, parity, letter count and column-order witness of the first m - 1
-entries once per branch (all choices of the last entry).
+Work that does not depend on the point is done once: the matrix's Clifford
+view (``GammaMatrix.clifford_view``: its Clifford rows, and per column the
+bit masks of its 1 and -1 Clifford entries) once per matrix, the letters
+once per sign pattern, and the signs, parity, letter count and column-order
+witness of the first m - 1 entries once per branch (all choices of the last
+entry).  A point's decision never reads its Weyl rows: ``is_in_support``
+computes the image on the Clifford rows only, and reads each letter's masks
+off the view.
 
 ``oracle_membership`` decides the same question by exhaustively multiplying
 generator images over all arrangements; it shares no logic with the pattern
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import SuperElement, int_tuple
@@ -72,21 +77,14 @@ MAX_ENUM_LETTERS = 1_000_000
 def _letters(gm: GammaMatrix, g: Sequence[int]):
     """Distinct signed letters in column order, each as (column, sign, plus,
     minus): bit k of ``plus`` (``minus``) is set when the letter's entry on
-    the k-th Clifford row is 1 (-1)."""
-    letters = []
-    for c in range(gm.m):
-        if g[c] == 0:
-            continue
-        sign = 1 if g[c] > 0 else -1
-        plus = minus = 0
-        for k, r in enumerate(gm.sig.clifford_indices):
-            e = sign * gm.rows[r][c]
-            if e > 0:
-                plus |= 1 << k
-            elif e < 0:
-                minus |= 1 << k
-        letters.append((c, sign, plus, minus))
-    return letters
+    the k-th Clifford row is 1 (-1).  Read off ``gm.clifford_view``, with
+    the masks swapped for a negative letter."""
+    _, plus, minus = gm.clifford_view
+    return [
+        (c, 1, plus[c], minus[c]) if v > 0 else (c, -1, minus[c], plus[c])
+        for c, v in enumerate(g)
+        if v
+    ]
 
 
 def _sign_masks(values) -> Optional[tuple[int, int]]:
@@ -132,15 +130,16 @@ def is_in_support(gm: GammaMatrix, g: Sequence[int]) -> Optional[Witness]:
     """
     require_valid(gm)
     g = _degree_vector(gm, g)
-    # a member's image has every Clifford row in {-1, 0, 1}
-    image = gm.apply(g)
-    signs = _sign_masks(map(image.__getitem__, gm.sig.clifford_indices))
+    # a member's image has every Clifford row in {-1, 0, 1}; the Weyl rows
+    # constrain nothing, so only the Clifford rows of the image are computed
+    signs = _sign_masks(sum(map(mul, row, g)) for row in gm.clifford_view[0])
     if signs is None:
         return None
     _require_witness_size(g)
-    if not any(v for v, t in zip(g, gm.touches_clifford) if t):
+    letters = _letters(gm, g)
+    if not any(plus or minus for _, _, plus, minus in letters):
         return _column_order(g)
-    return _arrange(_letters(gm, g), [abs(v) for v in g if v], set(), *signs)
+    return _arrange(letters, [abs(v) for v in g if v], set(), *signs)
 
 
 def _column_order(g: Sequence[int]) -> Witness:
@@ -315,9 +314,10 @@ def _members(gm: GammaMatrix, box: list[tuple[int, int]], even_lattice: bool):
     ResourceCapError, and so do searched witnesses of more than
     MAX_ENUM_LETTERS letters in all."""
     last = gm.m - 1
-    cliff = [gm.rows[r] for r in gm.sig.clifford_indices]
-    touching = gm.touches_clifford
-    head_columns = [c for c in range(last) if touching[c]]  # of the first m - 1 columns
+    cliff, plus, minus = gm.clifford_view
+    # the first m - 1 columns that touch a Clifford row
+    head_columns = [c for c in range(last) if plus[c] or minus[c]]
+    last_touches = plus[last] or minus[last]
     last_column = [row[last] for row in cliff]
     patterns: dict[tuple[int, ...], tuple] = {}  # sign pattern -> (letters, failed states)
     searched_letters = 0
@@ -325,7 +325,7 @@ def _members(gm: GammaMatrix, box: list[tuple[int, int]], even_lattice: bool):
         if even_lattice:
             values = values[(sum(head) + values.start) & 1::2]
         head_touches = any(map(head.__getitem__, head_columns))
-        if not (head_touches or touching[last]):
+        if not (head_touches or last_touches):
             yield head, values, None
             continue
         # done once for all points of the branch
@@ -588,23 +588,35 @@ def injectivity_report(
     member with no search and no witness, and the witness the search builds
     for one whose letters do is dropped.  So the witness caps bound only the
     searched points, as in the walk.
+
+    Each image goes into one set as it is computed, and the zero fiber is
+    read in the same pass.  The projected images are built only when
+    distinct points have distinct images and the matrix has a Clifford row:
+    otherwise they are distinct exactly when the images are.
     """
     rank, kernel = gamma_rank_kernel(gm)
     box = _checked_box(gm, box, cap)
     pts = [head + (v,) for head, values, _ in _members(gm, box, False) for v in values]
-    images = [gm.apply(g) for g in pts]
-    cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
-    projected = [
-        tuple(v % 2 if cliff[r] else v for r, v in enumerate(img)) for img in images
-    ]
-    zero_fiber = all(not any(g) for g, img in zip(pts, images) if not any(img))
+    images = set()
+    zero_fiber = True
+    for g in pts:
+        image = gm.apply(g)
+        images.add(image)
+        if not any(image) and any(g):
+            zero_fiber = False
+    distinct = len(images) == len(pts)
+    p_distinct = distinct
+    if distinct and gm.sig.clifford_indices:
+        cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
+        projected = {tuple(v % 2 if c else v for v, c in zip(img, cliff)) for img in images}
+        p_distinct = len(projected) == len(pts)
     return InjectivityReport(
         rank=rank,
         m=gm.m,
         kernel=kernel,
         box=box,
         points=pts,
-        gamma_distinct_on_box=len(set(images)) == len(images),
+        gamma_distinct_on_box=distinct,
         p_gamma_zero_fiber=zero_fiber,
-        p_gamma_distinct_on_box=len(set(projected)) == len(projected),
+        p_gamma_distinct_on_box=p_distinct,
     )

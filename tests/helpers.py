@@ -52,6 +52,11 @@ did before it applied binomial rows one index at a time.
 ``product_t`` is the ninth: it builds t_i as the ``BaseRingElement`` product
 of its row factors, each factor the product of its linear factors u_r - root
 (or 1 - u_r on a Clifford row), with no coefficient rows.
+
+``list_injectivity_report`` is the tenth: it builds the injectivity report
+from the members of ``exhaustive_scan``, keeping every image and projected
+image as a list and reading each flag off whole lists, the way
+``injectivity_report`` did before it kept one set of images.
 """
 
 import itertools
@@ -64,14 +69,17 @@ from superweyl import (
     GammaMatrix,
     Signature,
     SuperElement,
+    gamma_rank_kernel,
     phi_generator,
     super_bracket,
     tau_apply,
     validate_gamma,
     word_element,
+    zeta_matrix,
 )
 from superweyl.basering import _roots
 from superweyl.datum import ValidationReport
+from superweyl.support import InjectivityReport
 
 # A basis vector is (exterior subset frozenset, polynomial exponent tuple).
 # A letter is coded 2*index + kind, with kind 0 for x and 1 for d.
@@ -371,6 +379,17 @@ def inj_example_matrices(p=1, q=2):
     }
 
 
+def zeta_matrices(max_rank):
+    """{(family, p, q): zeta matrix} for every preset of rank p + q <= max_rank."""
+    return {
+        (family, p, q): zeta_matrix(family, p, q)
+        for family in ("gl", "osp_even", "osp_odd")
+        for p in range(max_rank + 1)
+        for q in range(max_rank + 1 - p)
+        if p + q >= (2 if family == "gl" else 1) and (q >= 1 or family != "osp_even")
+    }
+
+
 def expanded_consistency(datum):
     """(kind, indices, passed) per instance, in ``consistency_check`` order."""
     m = datum.gm.m
@@ -589,3 +608,24 @@ def exhaustive_scan(gm, box, even_lattice=False):
         if witness is not None:
             found.append((g, witness))
     return found, sum(map(len, memos.values()))
+
+
+def list_injectivity_report(gm, box):
+    """``injectivity_report(gm, box)`` from lists of every point's image and
+    projected image."""
+    rank, kernel = gamma_rank_kernel(gm)
+    pts = [g for g, _ in exhaustive_scan(gm, box)[0]]
+    images = [tuple(sum(row[c] * g[c] for c in range(gm.m)) for row in gm.rows) for g in pts]
+    cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
+    projected = [tuple(v % 2 if cliff[r] else v for r, v in enumerate(img)) for img in images]
+    zero_fiber = all(not any(g) for g, img in zip(pts, images) if not any(img))
+    return InjectivityReport(
+        rank=rank,
+        m=gm.m,
+        kernel=kernel,
+        box=[tuple(interval) for interval in box],
+        points=pts,
+        gamma_distinct_on_box=len(set(images)) == len(images),
+        p_gamma_zero_fiber=zero_fiber,
+        p_gamma_distinct_on_box=len(set(projected)) == len(projected),
+    )

@@ -479,6 +479,45 @@ def test_consistency_honours_an_asymmetric_mu(gm, pair_holds):
     assert consistency_check(datum).instances[0].passed is pair_holds
 
 
+def test_consistency_reads_mu_where_columns_share_no_row():
+    # every entry of mu flipped at random, so pairs that share no row read -1 too
+    rng = random.Random(20261022)
+    disjoint_failing = 0
+    for _ in range(300):
+        datum = derive_datum(random_valid_gamma(rng, max_n=4, max_m=4))
+        mu = tuple(tuple(v * rng.choice((-1, 1)) for v in row) for row in datum.mu)
+        datum = dataclasses.replace(datum, mu=mu)
+        got = _instances(consistency_check(datum))
+        assert got == expanded_consistency(datum), datum
+        rows = [{r for r, v in enumerate(col) if v} for col in datum.sigma]
+        disjoint_failing += sum(
+            not passed for kind, (i, j, *_), passed in got
+            if kind == "pair" and not rows[i] & rows[j]
+        )
+    assert disjoint_failing > 20
+
+
+def test_consistency_computes_only_instances_whose_columns_share_a_row(monkeypatch):
+    computed = []
+    same = superweyl.datum._same_tensor
+
+    def counting(lhs, rhs, *scalar):
+        computed.append(lhs)
+        return same(lhs, rhs, *scalar)
+
+    monkeypatch.setattr(superweyl.datum, "_same_tensor", counting)
+    for gm in (TRIPLE_FAIL, EX_C, identity_gamma(Signature("minus", (0, 1, 0, 1))),
+               zeta_matrix("gl", 4, 2), zeta_matrix("osp_odd", 3, 3)):
+        computed.clear()
+        report = consistency_check(derive_datum(gm))
+        rows = [{r for r, v in enumerate(gm.column(c)) if v} for c in range(gm.m)]
+        pairs = [(i, j) for i in range(gm.m) for j in range(i + 1, gm.m)]
+        triples = [(i, j, k) for j in range(gm.m) for i, k in pairs if j not in (i, k)]
+        assert len(report.instances) == len(pairs) + len(triples)
+        assert len(computed) == sum(bool(rows[i] & rows[j]) for i, j in pairs) + sum(
+            bool(rows[i] & rows[j] and rows[k] & rows[j]) for i, j, k in triples)
+
+
 def test_consistency_check_does_not_expand(monkeypatch):
     wide = GammaMatrix(Signature("minus", (0, 1, 0)), ((900, -700, 0), (1, 0, -1), (0, 500, -1000)))
     matrices = (TRIPLE_FAIL, EX_C, wide, zeta_matrix("osp_odd", 3, 2))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -27,8 +28,10 @@ from helpers import (
     exhaustive_scan,
     exhaustive_witness,
     inj_example_matrices,
+    list_injectivity_report,
     random_degree_vector,
     random_valid_gamma,
+    zeta_matrices,
 )
 
 EX_A = GammaMatrix(Signature("minus", (1,)), ((1, -1),))
@@ -517,3 +520,98 @@ def test_enumeration_cap_stops_the_search_point_by_point(monkeypatch):
         with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 100 letters"):
             call(gm, box)
         assert len(searched) == 14
+
+
+SAMPLE_NAMES = ("band", "identity_1_1", "nine_point", "three_column")
+
+
+def view_cases():
+    """The samples, every zeta matrix of rank 1-8 and 400 seeded matrices."""
+    rng = random.Random(20261019)
+    return (
+        [sample(name) for name in SAMPLE_NAMES]
+        + list(zeta_matrices(8).values())
+        + [random_valid_gamma(rng, max_n=4, max_m=4) for _ in range(400)]
+    )
+
+
+def test_clifford_view_matches_a_row_scan():
+    touching = {True: 0, False: 0}
+    for gm in view_cases():
+        cliff = [row for r, row in enumerate(gm.rows) if gm.sig.is_clifford(r)]
+        rows, plus, minus = gm.clifford_view
+        assert rows == tuple(cliff)
+        assert len(plus) == len(minus) == gm.m
+        for c in range(gm.m):
+            assert plus[c] == sum(1 << k for k, row in enumerate(cliff) if row[c] == 1)
+            assert minus[c] == sum(1 << k for k, row in enumerate(cliff) if row[c] == -1)
+            touches = any(row[c] for row in cliff)
+            assert bool(plus[c] or minus[c]) == touches
+            touching[touches] += 1
+    assert min(touching.values()) > 300
+
+
+def test_a_matrix_builds_its_clifford_view_once(monkeypatch):
+    builds = []
+    build = GammaMatrix.clifford_view.func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    view = functools.cached_property(counting)
+    view.__set_name__(GammaMatrix, "clifford_view")
+    monkeypatch.setattr(GammaMatrix, "clifford_view", view)
+    gm = sample("three_column")
+    box = [(-2, 2)] * gm.m
+    for g in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        is_in_support(gm, g)
+    enumerate_support(gm, box)
+    injectivity_report(gm, box)
+    assert len(builds) == 1 and builds[0] is gm
+
+
+def test_a_query_never_computes_the_full_image(monkeypatch):
+    # only the Clifford rows of the image decide a point
+    rng = random.Random(20261020)
+    cases = []
+    for gm in view_cases():
+        for _ in range(4):
+            g = random_degree_vector(rng, gm.m)
+            cases.append((gm, g, exhaustive_witness(gm, g)))
+    members = [(gm, witness) for gm, _, witness in cases if witness is not None]
+    searched = sum(
+        any(row[c] for r, row in enumerate(gm.rows) if gm.sig.is_clifford(r) for c, _ in witness)
+        for gm, witness in members
+    )
+    assert searched > 500 and len(members) - searched > 500 and len(cases) - len(members) > 300
+
+    def refuse(self, g):
+        raise AssertionError("GammaMatrix.apply called")
+
+    monkeypatch.setattr(GammaMatrix, "apply", refuse)
+    for gm, g, witness in cases:
+        assert is_in_support(gm, g) == witness, (gm, g)
+
+
+def test_injectivity_report_matches_the_list_oracle():
+    rng = random.Random(20261021)
+    matrices = (
+        [sample(name) for name in SAMPLE_NAMES]
+        + [all_weyl_bidiagonal(3), EX_A]
+        + [random_valid_gamma(rng) for _ in range(200)]
+    )
+    seen = set()
+    for gm in matrices:
+        box = [(-2, 2)] * gm.m
+        report = injectivity_report(gm, box)
+        expected = list_injectivity_report(gm, box)
+        assert report.to_dict() == expected.to_dict(), gm
+        assert report.points == expected.points, gm
+        if not gm.sig.clifford_indices:
+            seen.add("no Clifford row")
+        if not expected.p_gamma_zero_fiber:
+            seen.add("zero fiber fails")
+        if expected.gamma_distinct_on_box and not expected.p_gamma_distinct_on_box:
+            seen.add("projection collides")
+    assert seen == {"no Clifford row", "zero fiber fails", "projection collides"}
