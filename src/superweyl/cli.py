@@ -23,7 +23,8 @@ from .datum import (
     validate_gamma,
 )
 from .errors import ResourceCapError, SuperweylError
-from .liesuper import calibrate, check_relations, check_triangle, load_calibration, preset
+from .liesuper import (FAMILIES, calibrate, check_relations, check_triangle,
+                       load_calibration, preset)
 from .support import (
     DEFAULT_BOX_CAP,
     enumerate_support,
@@ -286,80 +287,12 @@ def _cmd_lie_check(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-class _ParserOnDemand:
-    """The ``parser_class`` of every subcommand: ``add_parser`` makes one per
-    subcommand, which keeps its builder and the keyword arguments argparse
-    passes (``prog``), and builds the real parser only once its subcommand
-    is chosen.  Choices, usage, ``invalid choice`` errors and help listings
-    come from the subparsers action, as with eagerly built parsers."""
-
-    def __init__(self, build, **kwargs):
-        self.build, self.kwargs = build, kwargs
-
-    def parse_known_args(self, args, namespace):
-        parser = argparse.ArgumentParser(**self.kwargs)
-        self.build(parser)
-        return parser.parse_known_args(args, namespace)
-
-
-def _subcommands(dest: str, *entries):
-    """Builder of a parser whose next positional picks one of the
-    (name, builder, help) entries."""
-    def build(p):
-        sub = p.add_subparsers(dest=dest, required=True, parser_class=_ParserOnDemand)
-        for name, build_sub, help in entries:
-            sub.add_parser(name, build=build_sub, help=help)
-    return build
-
-
-def _matrix_only(func):
-    def build(p):
-        p.add_argument("matrix")
-        p.set_defaults(func=func)
-    return build
-
-
-def _build_phi(p):
+def _matrix_command(sub, name, help, func):
+    """The parser of a subcommand whose first argument is a matrix file."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("matrix")
-    p.add_argument("-i", "--index", type=int, required=True, help="column, 1-based")
-    p.add_argument("--kind", choices=("X", "Y"), default="X")
-    p.set_defaults(func=_cmd_phi)
-
-
-def _build_eval(p):
-    p.add_argument("matrix")
-    p.add_argument("-w", "--word", required=True, help="letters like 'Y1,X1'")
-    p.set_defaults(func=_cmd_eval)
-
-
-def _build_support_member(p):
-    p.add_argument("matrix")
-    p.add_argument("-g", required=True, help="degree vector, e.g. 1,2,1")
-    p.set_defaults(func=_cmd_support_member)
-
-
-def _build_support_enum(p):
-    p.add_argument("matrix")
-    p.add_argument("--box", required=True, help="per-column lo:hi, e.g. -3:3,-3:3")
-    p.add_argument("--even-lattice", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
-    p.set_defaults(func=_cmd_support_enum)
-
-
-def _build_injectivity(p):
-    p.add_argument("matrix")
-    p.add_argument("--box", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
-    p.set_defaults(func=_cmd_injectivity)
-
-
-def _build_lie_check(p):
-    p.add_argument("family", choices=("gl", "osp_even", "osp_odd"))
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--calibrate", action="store_true", help="solve instead of loading fixtures")
-    p.add_argument("--fixtures", help="alternative calibration fixture file")
-    p.set_defaults(func=_cmd_lie_check)
+    p.set_defaults(func=func)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,25 +301,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Clifford/Weyl superalgebra and twisted-Weyl matrix tooling",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    _subcommands(
-        "command",
-        ("validate", _matrix_only(_cmd_validate), "validate a matrix file"),
-        ("datum", _matrix_only(_cmd_datum), "derived t, sigma, mu, parities"),
-        ("consistency", _matrix_only(_cmd_consistency), "pair and triple identities (diagnostic)"),
-        ("phi", _build_phi, "image of one generator"),
-        ("eval", _build_eval, "image and degree of a generator word"),
-        ("support", _subcommands(
-            "subcommand",
-            ("member", _build_support_member, "decide one degree vector"),
-            ("enum", _build_support_enum, "enumerate a box"),
-        ), "graded-support queries"),
-        ("injectivity", _build_injectivity, "rank, kernel, and boxed injectivity"),
-        ("lie", _subcommands(
-            "subcommand",
-            ("check", _build_lie_check, "relation residuals and triangle report"),
-        ), "Chevalley presentation checks"),
-    )(parser)
+    commands = parser.add_subparsers(dest="command", required=True)
+    _matrix_command(commands, "validate", "validate a matrix file", _cmd_validate)
+    _matrix_command(commands, "datum", "derived t, sigma, mu, parities", _cmd_datum)
+    _matrix_command(commands, "consistency", "pair and triple identities (diagnostic)",
+                    _cmd_consistency)
+
+    p = _matrix_command(commands, "phi", "image of one generator", _cmd_phi)
+    p.add_argument("-i", "--index", type=int, required=True, help="column, 1-based")
+    p.add_argument("--kind", choices=("X", "Y"), default="X")
+
+    p = _matrix_command(commands, "eval", "image and degree of a generator word", _cmd_eval)
+    p.add_argument("-w", "--word", required=True, help="letters like 'Y1,X1'")
+
+    support = commands.add_parser("support", help="graded-support queries")
+    support = support.add_subparsers(dest="subcommand", required=True)
+    p = _matrix_command(support, "member", "decide one degree vector", _cmd_support_member)
+    p.add_argument("-g", required=True, help="degree vector, e.g. 1,2,1")
+    p = _matrix_command(support, "enum", "enumerate a box", _cmd_support_enum)
+    p.add_argument("--box", required=True, help="per-column lo:hi, e.g. -3:3,-3:3")
+    p.add_argument("--even-lattice", action="store_true")
+    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
+
+    p = _matrix_command(commands, "injectivity", "rank, kernel, and boxed injectivity",
+                        _cmd_injectivity)
+    p.add_argument("--box", required=True)
+    p.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP)
+
+    lie = commands.add_parser("lie", help="Chevalley presentation checks")
+    lie = lie.add_subparsers(dest="subcommand", required=True)
+    p = lie.add_parser("check", help="relation residuals and triangle report")
+    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+    p.add_argument("--calibrate", action="store_true", help="solve instead of loading fixtures")
+    p.add_argument("--fixtures", help="alternative calibration fixture file")
+    p.set_defaults(func=_cmd_lie_check)
     return parser
+
+
+# A process needs one parser tree: built here, at import, and only read by run
+# (argparse keeps the parsed values in a fresh namespace per call).
+_PARSER = _build_parser()
 
 
 def _merge_flag_values(argv):
@@ -409,9 +365,8 @@ def _merge_flag_values(argv):
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_flag_values(list(argv)))
+        args = _PARSER.parse_args(_merge_flag_values(list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

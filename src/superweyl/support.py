@@ -594,8 +594,8 @@ def injectivity_report(
     distinct points have distinct images and the matrix has a Clifford row:
     otherwise they are distinct exactly when the images are.
     """
-    rank, kernel = gamma_rank_kernel(gm)
     box = _checked_box(gm, box, cap)
+    rank, kernel = gamma_rank_kernel(gm)
     pts = [head + (v,) for head, values, _ in _members(gm, box, False) for v in values]
     images = set()
     zero_fiber = True

@@ -1,12 +1,10 @@
 import argparse
-import gc
 import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
-import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -308,32 +306,57 @@ def test_help_and_usage_bytes(argv, code, out_digest, err_digest, monkeypatch, c
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
 
 
-def test_run_builds_only_the_chosen_parser_chain(monkeypatch, capsys):
+def test_run_builds_no_parser(monkeypatch, capsys):
+    # the parser tree is built once, at import; run only reads it
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(weakref.ref(self))
+        built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-
-    def parsers_built(argv):
-        built.clear()
-        run(argv)
-        capsys.readouterr()
-        gc.collect()
-        # no parser is cached past the call that built it
-        assert all(ref() is None for ref in built)
-        return len(built)
-
     band = str(SAMPLES / "band.json")
-    assert parsers_built(["validate", band]) == 2
-    assert parsers_built(["validate", band]) == 2
-    assert parsers_built(["support", "enum", band, "--box", "-1:1,-1:1"]) == 3
-    assert parsers_built(["lie", "check", "gl", "2", "1"]) == 3
-    assert parsers_built(["-h"]) == 1
-    assert parsers_built(["support", "-h"]) == 2
+    for argv, code in [
+        (["validate", band], 0),
+        (["validate", band], 0),
+        (["support", "enum", band, "--box", "-1:1,-1:1"], 0),
+        (["lie", "check", "gl", "2", "1"], 0),
+        (["-h"], 0),
+        (["support", "-h"], 0),
+        (["support", "florp"], 2),
+    ]:
+        assert run(argv) == code
+        capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    # each argv answers as it did on its first call, whatever ran before it
+    monkeypatch.setenv("COLUMNS", "80")
+    band = str(SAMPLES / "band.json")
+    argvs = [
+        ["support", "enum", band, "--box", "-1:1,-1:1", "--even-lattice"],
+        ["support", "enum", band, "--box", "-1:1,-1:1"],
+        ["-h"],
+        ["support", "-h"],
+        ["florp"],
+        ["lie", "check", "sl", "2", "2"],
+        ["--format", "json", "datum", band],
+        ["datum", band],
+        ["lie", "check", "gl", "2", "1", "--calibrate"],
+        ["lie", "check", "gl", "2", "1"],
+    ]
+    first = {}
+    for order in (argvs, argvs[::-1]) * 3:
+        for argv in order:
+            code = run(argv)
+            captured = capsys.readouterr()
+            seen = (code, captured.out, captured.err)
+            assert first.setdefault(tuple(argv), seen) == seen, argv
+    # the on/off pairs differ, so a flag left over from the call before shows
+    assert first[tuple(argvs[0])] != first[tuple(argvs[1])]
+    assert first[tuple(argvs[6])] != first[tuple(argvs[7])]
 
 
 def test_consistency_does_not_expand_t(matrix_file, monkeypatch, capsys):

@@ -472,6 +472,28 @@ def test_injectivity_report_keeps_the_validated_box():
     assert report.to_dict()["support_points"] == 9
 
 
+def test_injectivity_refuses_before_the_elimination(monkeypatch):
+    # an invalid matrix and an over-cap box are refused before the rank and
+    # kernel are computed, with the same errors as when they were computed first
+    invalid = GammaMatrix(Signature("minus", (1,)), ((2,),))
+    cases = [(invalid, [(0, 1)], {}), (sample("band"), [(-3, 3), (-3, 3)], {"cap": 48})]
+    refusals = []
+    for gm, box, kwargs in cases:
+        with pytest.raises((InvalidGammaError, ResourceCapError)) as exc:
+            injectivity_report(gm, box, **kwargs)
+        refusals.append((exc.type, str(exc.value)))
+    assert [kind for kind, _ in refusals] == [InvalidGammaError, ResourceCapError]
+
+    def refuse(gm):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(superweyl.support, "gamma_rank_kernel", refuse)
+    for (gm, box, kwargs), (kind, message) in zip(cases, refusals):
+        with pytest.raises(kind) as exc:
+            injectivity_report(gm, box, **kwargs)
+        assert str(exc.value) == message
+
+
 def test_search_depth_is_capped_in_injectivity_too(monkeypatch):
     monkeypatch.setattr(superweyl.support, "MAX_WITNESS_LETTERS", 10)
     band = sample("band")
