@@ -44,6 +44,7 @@ from .datum import (
     gamma_to_dict,
     gradation_pair,
     identity_gamma,
+    matrix_consistency,
     phi_generator,
     validate_gamma,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "involution",
     "iota_embed",
     "is_in_support",
+    "matrix_consistency",
     "load_calibration",
     "mono_mul",
     "oracle_membership",

@@ -15,10 +15,10 @@ import os
 import sys
 
 from .datum import (
-    consistency_check,
     derive_datum,
     eval_word,
     gamma_from_dict,
+    matrix_consistency,
     phi_generator,
     validate_gamma,
 )
@@ -103,13 +103,13 @@ def _parse_word(text: str) -> list[tuple[str, int]]:
 
 
 def _emit(args, payload, text_lines) -> None:
-    """Print the payload as JSON under --format json, else the text lines; a
-    payload that costs work to build is passed as the function building it."""
+    """Print the payload as JSON under --format json, else the text lines, in
+    one write; a payload that costs work to build is passed as the function
+    building it."""
     if args.format == "json":
         print(json.dumps(payload() if callable(payload) else payload))
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(text_lines))
 
 
 def _cmd_validate(args) -> int:
@@ -124,13 +124,16 @@ def _cmd_datum(args) -> int:
     gm = _load_matrix(args.matrix)
     datum = derive_datum(gm)
     ts = [str(t) for t in datum.t]
-    payload = {
-        "t": ts,
-        "sigma": [list(col) for col in datum.sigma],
-        "mu": [list(row) for row in datum.mu],
-        "p": list(datum.pparity),
-        "p_prime": list(datum.pprime),
-    }
+
+    def payload():
+        return {
+            "t": ts,
+            "sigma": [list(col) for col in datum.sigma],
+            "mu": [list(row) for row in datum.mu],
+            "p": list(datum.pparity),
+            "p_prime": list(datum.pprime),
+        }
+
     lines = []
     for i, t in enumerate(ts):
         lines.append(f"t[{i + 1}] = {t}")
@@ -155,14 +158,13 @@ def _sigma_str(col) -> str:
 
 def _cmd_consistency(args) -> int:
     gm = _load_matrix(args.matrix)
-    report = consistency_check(derive_datum(gm))
-    payload = report.to_dict()
+    report = matrix_consistency(gm)
     lines = [f"note: {report.note}"]
     for inst in report.instances:
         ids = ",".join(str(v + 1) for v in inst.indices)
         lines.append(f"{inst.kind}({ids}): {'pass' if inst.passed else 'FAIL'}")
     lines.append(f"all_pass: {'yes' if report.all_pass else 'no'}")
-    _emit(args, payload, lines)
+    _emit(args, report.to_dict, lines)
     return EXIT_PASS if report.all_pass else EXIT_FAIL
 
 
@@ -227,7 +229,6 @@ def _cmd_injectivity(args) -> int:
     gm = _load_matrix(args.matrix)
     box = _parse_box(args.box, gm.m)
     report = injectivity_report(gm, box, cap=args.cap)
-    payload = report.to_dict()
     lines = [
         f"rank = {report.rank} of {report.m} columns"
         + (" (injective globally)" if report.globally_injective else ""),
@@ -240,7 +241,7 @@ def _cmd_injectivity(args) -> int:
     ]
     if not report.globally_injective:
         lines.append("note: results beyond the box are inconclusive at this rank")
-    _emit(args, payload, lines)
+    _emit(args, report.to_dict, lines)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

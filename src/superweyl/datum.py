@@ -376,6 +376,26 @@ class ConsistencyReport:
 MAX_CONSISTENCY_INSTANCES = 127_008
 
 
+def _require_instance_count(m: int) -> None:
+    """Raise ResourceCapError when m columns give more than
+    MAX_CONSISTENCY_INSTANCES pair and triple instances."""
+    pairs = m * (m - 1) // 2
+    count = pairs + pairs * (m - 2)  # each pair {i, k} once more per j outside it
+    if count > MAX_CONSISTENCY_INSTANCES:
+        raise ResourceCapError(
+            f"{m} columns give {count} consistency instances, over the cap "
+            f"{MAX_CONSISTENCY_INSTANCES}"
+        )
+
+
+def matrix_consistency(gm: GammaMatrix) -> ConsistencyReport:
+    """``consistency_check(derive_datum(gm))``, with the instances counted
+    from ``gm.m`` first: a matrix over MAX_CONSISTENCY_INSTANCES raises
+    ResourceCapError before its datum is derived or it is validated."""
+    _require_instance_count(gm.m)
+    return consistency_check(derive_datum(gm))
+
+
 def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     """Evaluate the pair and triple identities exactly in the base ring.
 
@@ -406,13 +426,7 @@ def consistency_check(datum: TgwDatum) -> ConsistencyReport:
     """
     gm, sigma, mu = datum.gm, datum.sigma, datum.mu
     m = gm.m
-    pairs = m * (m - 1) // 2
-    count = pairs + pairs * (m - 2)  # each pair {i, k} once more per j outside it
-    if count > MAX_CONSISTENCY_INSTANCES:
-        raise ResourceCapError(
-            f"{m} columns give {count} consistency instances, over the cap "
-            f"{MAX_CONSISTENCY_INSTANCES}"
-        )
+    _require_instance_count(m)
     cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]
     t = [{r: tuple(_roots(k)) for r, k in enumerate(gm.column(c)) if k} for c in range(m)]
 

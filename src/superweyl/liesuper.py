@@ -12,16 +12,18 @@ The presentation is data: each ``Relation`` holds the two generators it
 brackets and the integer linear combination of generators the bracket
 equals, and ``_relations`` is the one place that writes these down.  The
 bracket residual of every relation is computed exactly on scaled images.
-Each residual is bilinear in the images and the central constants and
-shifts of the h images bracket to zero, so the unscaled ("raw") bracket of
-every relation depends on the preset alone: it is computed once per
-``LiePreset``, on integer coefficient maps (exact fractions only where an
-image has them).  Two image monomials that share no index bracket to zero
-or to twice their product by a sign rule, so only the O(rank) pairs that
-share an index take the two closed-form monomial products, and the O(rank^2)
-relations cost O(rank^2) in all.  Each calibration then costs one scalar
-multiple of every nonzero raw bracket minus its right-hand side; a relation
-with neither passes as it is.  Scale factors live in version-controlled
+Each residual is bilinear in the images and the central constants and shifts
+of the h images bracket to zero, so the unscaled ("raw") bracket of every
+relation depends on the preset alone: it is computed once per ``LiePreset``,
+on integer coefficient maps (exact fractions only where an image has them),
+from one summary per image.  An even image c + sum w_k x_k d_k brackets each
+monomial to a multiple of itself read off the weights.  Two image monomials
+that share no index bracket to zero or to twice their product by a sign
+rule.  Only the O(rank) other pairs, in ``gl`` the e-f pairs that share an
+index, take the two closed-form monomial products, so the O(rank^2)
+relations cost O(rank^2) in all, with a small constant per relation.  Each
+calibration then costs one scalar multiple of every nonzero raw bracket
+minus its right-hand side; a relation with neither passes as it is.  Scale factors live in version-controlled
 fixtures; the ``calibrate`` solver re-derives them by exact scalar-ratio
 matching (the raising scale is pinned by the column-word comparison, the
 lowering scale by the diagonal e-f relations, read from the same raw
@@ -41,7 +43,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .algebra import (
-    Signature, SuperElement, _exact, _mono_product, accumulate_terms, mono_parity,
+    Signature, SuperElement, _exact, _mono_product, accumulate_terms,
 )
 from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, phi_generator, require_valid
@@ -49,8 +51,9 @@ from .errors import ResourceCapError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
 # Largest p + q a preset may have: a presentation holds about 3.5 (p + q)^2
-# relations, each checked and printed (lie check gl 32 32 takes about 0.2 s),
-# and its column matrix holds (p + q)^2 entries.
+# relations, each printed and decided from the summaries of its two images,
+# all but O(p + q) of them with no monomial product (lie check gl 32 32 takes
+# about 0.1 s), and its column matrix holds (p + q)^2 entries.
 MAX_LIE_RANK = 64
 
 
@@ -234,37 +237,34 @@ def preset(family: str, p: int, q: int) -> LiePreset:
 
 def _relations(family: str, n: int, p: int) -> tuple[Relation, ...]:
     """The displayed presentation, in report order."""
-
-    def rel(left, right, *linear):
-        return Relation(left, right, tuple((g, c) for g, c in linear if c))
+    e = [("e", j) for j in range(n)]
+    f = [("f", j) for j in range(n)]
+    h = [("h", i) for i in range(n)]
 
     def h_weights(i, j):
         # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j, negated for f_j
         c = (i == j) - (i == j + 1)
-        return rel(("h", i), ("e", j), (("e", j), c)), rel(("h", i), ("f", j), (("f", j), -c))
+        if not c:
+            return Relation(h[i], e[j], ()), Relation(h[i], f[j], ())
+        return Relation(h[i], e[j], ((e[j], c),)), Relation(h[i], f[j], ((f[j], -c),))
 
-    rels = []
+    rels = [Relation(h[i], h[j], ()) for i in range(n) for j in range(i + 1, n)]
     ngl = n - 1  # generators carried over from the gl presentation
     for i in range(n):
-        for j in range(i + 1, n):
-            rels.append(rel(("h", i), ("h", j)))
-    for i in range(n):
         for j in range(ngl):
-            rels.extend(h_weights(i, j))
+            rels += h_weights(i, j)
     for i in range(ngl):
         for j in range(ngl):
             # [e_i, f_i] = h_i - h_{i+1}, or h_i + h_{i+1} across the odd/even seam
-            sign = -1 if i == p - 1 else 1
-            diagonal = ((("h", i), 1), (("h", i + 1), -sign)) if i == j else ()
-            rels.append(rel(("e", i), ("f", j), *diagonal))
+            diagonal = ((h[i], 1), (h[i + 1], 1 if i == p - 1 else -1)) if i == j else ()
+            rels.append(Relation(e[i], f[j], diagonal))
     if family == "osp_odd":
         last = n - 1
         for i in range(n):
-            rels.extend(h_weights(i, last))
-        rels.append(rel(("e", last), ("f", last), (("h", last), 1)))
+            rels += h_weights(i, last)
+        rels.append(Relation(e[last], f[last], ((h[last], 1),)))
         for i in range(ngl):
-            rels.append(rel(("e", i), ("f", last)))
-            rels.append(rel(("e", last), ("f", i)))
+            rels += (Relation(e[i], f[last], ()), Relation(e[last], f[i], ()))
     return tuple(rels)
 
 
@@ -300,11 +300,18 @@ def _support_terms(sig: Signature, terms: Mapping) -> list:
     """(monomial, coefficient, support, length, parity) per term: the support
     is the bitmask of the indices where the monomial has a block, the length
     the parity of its total block length."""
-    return [
-        (mono, c, sum(1 << i for i, (a, b) in enumerate(mono) if a or b),
-         sum(a + b for a, b in mono) & 1, mono_parity(sig, mono))
-        for mono, c in terms.items()
-    ]
+    parity = sig.parity
+    out = []
+    for mono, c in terms.items():
+        support = length = odd = 0
+        for i, (a, b) in enumerate(mono):
+            if a or b:
+                support |= 1 << i
+                length += a + b
+                if parity[i]:
+                    odd += a + b
+        out.append((mono, c, support, length & 1, odd & 1))
+    return out
 
 
 def _bracket_terms(sig: Signature, a: list, b: list, pa: int, pb: int) -> dict:
@@ -333,19 +340,75 @@ def _bracket_terms(sig: Signature, a: list, b: list, pa: int, pb: int) -> dict:
     return acc
 
 
+class _Summary(NamedTuple):
+    """One image as ``_raw_brackets`` reads it: its ``_support_terms``, the
+    union of their supports and, when the image is a constant plus
+    sum w_k x_k d_k, the weights ((k, w_k), ...) (None otherwise)."""
+
+    terms: list
+    support: int
+    weights: Optional[tuple[tuple[int, object], ...]]
+
+
+def _summary(sig: Signature, terms: Mapping) -> _Summary:
+    terms = _support_terms(sig, terms)
+    support = 0
+    weights = []
+    for mono, c, s, _, _ in terms:
+        support |= s
+        if s and weights is not None:
+            k = s.bit_length() - 1
+            if s != 1 << k or mono[k] != (1, 1):
+                weights = None
+            else:
+                weights.append((k, c))
+    return _Summary(terms, support, None if weights is None else tuple(weights))
+
+
+def _weight_terms(weights: tuple, terms: list, sign: int) -> dict:
+    """sign * [h, X] for an even h = c + sum w_k x_k d_k and X given by its
+    ``_support_terms``.  x_k d_k commutes with every generator of another
+    index and [x_k d_k, x_k^a d_k^b] = (a - b) x_k^a d_k^b, on a Weyl index
+    and on a Clifford one alike, so each term c m of X is an eigenvector
+    with eigenvalue sum_k w_k (a_k - b_k)."""
+    out = {}
+    for mono, c, *_ in terms:
+        k = 0
+        for i, w in weights:
+            a, b = mono[i]
+            if a != b:
+                k += w * (a - b)
+        if k:
+            out[mono] = sign * k * c
+    return out
+
+
+def _summary_bracket(sig: Signature, a: _Summary, b: _Summary, pa: int, pb: int) -> dict:
+    """ab - (-1)^(pa*pb) ba from the summaries of a and b: an even diagonal
+    operand by its weights, with no product; any other pair by
+    ``_bracket_terms``."""
+    shared = a.support & b.support
+    if a.weights is not None and not pa:
+        return _weight_terms(a.weights, b.terms, 1) if shared else {}
+    if b.weights is not None and not pb:
+        return _weight_terms(b.weights, a.terms, -1) if shared else {}
+    return _bracket_terms(sig, a.terms, b.terms, pa, pb)
+
+
 def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
+    """``_summary_bracket`` of each relation, on one summary per image;
+    empty brackets share one empty map."""
     sig = preset.sig
     images = {
-        kind: [_support_terms(sig, img.terms) for img in getattr(preset, f"{kind}_images")]
+        kind: [_summary(sig, img.terms) for img in getattr(preset, f"{kind}_images")]
         for kind in "efh"
     }
     parity = {"e": preset.e_parity, "f": preset.e_parity, "h": (0,) * preset.n}
+    empty = MappingProxyType({})
     out = []
-    for rel in preset.relations:
-        (a, i), (b, j) = rel.left, rel.right
-        out.append(MappingProxyType(_bracket_terms(
-            sig, images[a][i], images[b][j], parity[a][i], parity[b][j],
-        )))
+    for (a, i), (b, j), _ in preset.relations:
+        bracket = _summary_bracket(sig, images[a][i], images[b][j], parity[a][i], parity[b][j])
+        out.append(MappingProxyType(bracket) if bracket else empty)
     return tuple(out)
 
 
@@ -439,19 +502,24 @@ def check_triangle(preset: LiePreset, scalings: Optional[Calibration] = None) ->
     x_i d_i exactly, so the reported offset is the central constant carried
     by the differential-operator image of h_i.
     """
-    cal = scalings or preset.scalings
+    return _triangle(preset, scalings or preset.scalings, _column_words(preset))
+
+
+def _column_words(preset: LiePreset) -> list[SuperElement]:
+    return [phi_generator(preset.zeta, c) for c in range(preset.zeta.m)]
+
+
+def _triangle(preset: LiePreset, cal: Calibration, words: list[SuperElement]) -> TriangleReport:
+    """``check_triangle`` on column words already built."""
     sig = preset.sig
+    n = preset.n
     one = SuperElement.one(sig)
-    x_matches = []
-    for c in range(preset.zeta.m):
-        scaled = cal.e_scale[c] * preset.e_images[c]
-        x_matches.append(phi_generator(preset.zeta, c) == scaled)
+    x_matches = [words[c] == cal.e_scale[c] * preset.e_images[c] for c in range(preset.zeta.m)]
     h_offsets: list[Optional[Fraction]] = []
-    for i in range(preset.n):
+    for i in range(n):
         lam = sig.lam(i, i)
-        ring_side = lam * (
-            BaseRingElement.u(sig, i) - BaseRingElement.one(sig)
-        )
+        ring_side = BaseRingElement._raw(sig, {(0,) * i + (1,) + (0,) * (n - i - 1): lam,
+                                              (0,) * n: -lam})
         diff = preset.h_images[i] + cal.h_shift[i] * one - iota_embed(ring_side)
         h_offsets.append(diff.constant_value())
     return TriangleReport(x_matches, h_offsets, cal.expected_h_offsets)
@@ -485,14 +553,15 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     """
     ne, n = preset.ne, preset.n
     unit = unit_calibration(ne, n)
+    words = _column_words(preset)
 
     def failed(message: str) -> CalibrationResult:
-        report, triangle = check_relations(preset, unit), check_triangle(preset, unit)
+        report, triangle = check_relations(preset, unit), _triangle(preset, unit, words)
         return CalibrationResult(unit, False, message, report, triangle)
 
     e_scale = []
     for c in range(ne):
-        rho = _scalar_ratio(phi_generator(preset.zeta, c).terms, preset.e_images[c].terms)
+        rho = _scalar_ratio(words[c].terms, preset.e_images[c].terms)
         if rho is None or rho == 0:
             return failed(f"column word {c + 1} is not a scalar multiple of the raising image")
         e_scale.append(rho)
@@ -508,7 +577,7 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
         f_scale[i] = rho / e_scale[i]
     zero = (Fraction(0),) * n
     cal = Calibration(tuple(e_scale), tuple(f_scale), zero, zero)
-    triangle = check_triangle(preset, cal)
+    triangle = _triangle(preset, cal, words)
     if not triangle.offsets_constant:
         return CalibrationResult(
             cal, False, "h comparison is not a central constant",

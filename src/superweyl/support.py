@@ -287,9 +287,10 @@ def enumerate_support(
 
 def _checked_box(gm: GammaMatrix, box: Sequence[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
     """The box as a list of integer intervals, one per column of the valid
-    matrix ``gm``; a box of more than ``cap`` points raises ResourceCapError
-    before any point is visited."""
-    require_valid(gm)
+    matrix ``gm``.  The box is checked and counted from ``gm.m`` alone, before
+    the matrix is validated: a box of more than ``cap`` points raises
+    ResourceCapError without the O(m^2) validation, and before any point is
+    visited."""
     box = [int_tuple(interval, "box bounds") for interval in box]
     if len(box) != gm.m:
         raise ValueError(f"box has {len(box)} intervals, expected {gm.m}")
@@ -300,6 +301,7 @@ def _checked_box(gm: GammaMatrix, box: Sequence[tuple[int, int]], cap: int) -> l
         count *= hi - lo + 1
     if count > cap:
         raise ResourceCapError(f"box holds {count} candidate points, cap is {cap}")
+    require_valid(gm)
     return box
 
 

@@ -454,6 +454,29 @@ def test_lie_check_golden(argv, code, lines, digest, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+LIE_CHECK_SHA256 = json.loads(Path(__file__).with_name("lie_check_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("mode", ["fixture", "calibrate"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("family", ["gl", "osp_even", "osp_odd"])
+def test_lie_check_bytes_up_to_rank_six(family, fmt, mode, capsys):
+    # SHA-256 of stdout per preset with p + q <= 6, recorded from the raw
+    # brackets that took both products for every pair of images sharing an index
+    pinned = {
+        key: digest for key, digest in LIE_CHECK_SHA256.items()
+        if key.split()[0] == family and key.endswith(f" {fmt} {mode}")
+    }
+    assert len(pinned) == {"gl": 25, "osp_even": 21, "osp_odd": 27}[family]
+    got = {}
+    for key in pinned:
+        _, p, q, _, _ = key.split()
+        argv = (["--format", "json"] if fmt == "json" else []) + ["lie", "check", family, p, q]
+        assert run(argv + (["--calibrate"] if mode == "calibrate" else [])) == 0
+        got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == pinned
+
+
 def _fixture_file(tmp_path, kind):
     path = tmp_path / "fixtures.json"
     if kind == "missing file":
@@ -680,4 +703,76 @@ def test_consistency_instance_cap_is_a_resource_error(matrix_file, capsys):
         assert run(argv) == 2
         _one_error_line(
             capsys, "65 columns give 133120 consistency instances, over the cap 127008"
+        )
+
+
+def test_text_output_builds_no_json_payload(matrix_file, monkeypatch, capsys):
+    path = matrix_file(EX_C)
+    argvs = [
+        ["datum", path],
+        ["consistency", path],
+        ["injectivity", path, "--box", "-2:2,-2:2,-2:2"],
+        ["lie", "check", "gl", "2", "1"],
+    ]
+    expected = []
+    for argv in argvs:
+        expected.append((run(argv), capsys.readouterr().out))
+    payloads = []
+    emit = superweyl.cli._emit
+
+    def recording(args, payload, lines):
+        payloads.append(payload)
+        return emit(args, payload, lines)
+
+    def refuse(self):
+        raise AssertionError("the JSON payload was built")
+
+    monkeypatch.setattr(superweyl.cli, "_emit", recording)
+    monkeypatch.setattr(superweyl.datum.ConsistencyReport, "to_dict", refuse)
+    monkeypatch.setattr(superweyl.support.InjectivityReport, "to_dict", refuse)
+    for argv, want in zip(argvs, expected):
+        assert (run(argv), capsys.readouterr().out) == want
+    assert len(payloads) == 4 and all(callable(p) for p in payloads)
+
+
+def _all_sign_columns(k):
+    """The all-Clifford matrix whose 2^k columns are the +-1 vectors of length k."""
+    columns = list(itertools.product((1, -1), repeat=k))
+    return {"sign": "minus", "parity": [1] * k,
+            "gamma": [[col[r] for col in columns] for r in range(k)]}
+
+
+def test_box_is_counted_before_the_matrix_is_validated(matrix_file, monkeypatch, capsys):
+    path = matrix_file(_all_sign_columns(7))
+    box = ",".join(["0:1"] * 128)
+
+    def refuse(gm):
+        raise AssertionError("the matrix was validated")
+
+    monkeypatch.setattr(superweyl.datum, "validate_gamma", refuse)
+    for argv in (["support", "enum", path, "--box", box], ["injectivity", path, "--box", box]):
+        assert run(argv) == 2
+        _one_error_line(capsys, f"box holds {2 ** 128} candidate points, cap is 1000000")
+    monkeypatch.undo()
+    # an invalid matrix with an over-cap box is refused for the box (exit 2);
+    # with a box inside the cap, for the matrix (exit 1)
+    bad = matrix_file(BAD, "bad.json")
+    for command in (["support", "enum"], ["injectivity"]):
+        assert run(command + [bad, "--box", "0:10", "--cap", "5"]) == 2
+        _one_error_line(capsys, "box holds 11 candidate points, cap is 5")
+        assert run(command + [bad, "--box", "0:10"]) == 1
+        _one_error_line(capsys, "matrix failed validation")
+
+
+def test_consistency_instances_are_counted_before_the_datum(matrix_file, monkeypatch, capsys):
+    path = matrix_file(_all_sign_columns(7))
+
+    def refuse(gm):
+        raise AssertionError("the datum was derived")
+
+    monkeypatch.setattr(superweyl.datum, "derive_datum", refuse)
+    for argv in (["consistency", path], ["--format", "json", "consistency", path]):
+        assert run(argv) == 2
+        _one_error_line(
+            capsys, "128 columns give 1032256 consistency instances, over the cap 127008"
         )

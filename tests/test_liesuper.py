@@ -291,25 +291,96 @@ def _sparse_monomial(sig, rng):
     return tuple(pairs)
 
 
-def test_bracket_terms_match_paired_products():
+def _block(sig, blocks):
+    pairs = [(0, 0)] * sig.n
+    for i, block in blocks:
+        pairs[i] = block
+    return tuple(pairs)
+
+
+def _diagonal(sig, rng):
+    """A constant plus sum w_k x_k d_k over about half the indices, with int
+    and Fraction weights."""
+    terms = {}
+    if rng.random() < 0.5:
+        terms[_block(sig, ())] = rng.choice([1, -2, Fraction(1, 2)])
+    for k in range(sig.n):
+        if rng.random() < 0.5:
+            terms[_block(sig, [(k, (1, 1))])] = rng.choice(
+                [1, -1, 3, Fraction(rng.choice([-3, 1, 5]), rng.randint(2, 4))]
+            )
+    return terms
+
+
+def _operand(sig, rng):
+    """(shape, coefficient map): a diagonal image, x_k^2 d_k^2 on a Weyl index,
+    x_k d_j with j != k, or a random sparse map."""
+    roll = rng.random()
+    weyl = [i for i in range(sig.n) if not sig.is_clifford(i)]
+    if roll < 0.3:
+        return "diagonal", _diagonal(sig, rng)
+    if roll < 0.4 and weyl:
+        return "x^2 d^2", {_block(sig, [(rng.choice(weyl), (2, 2))]): rng.choice([1, -1])}
+    if roll < 0.5 and sig.n > 1:
+        k, j = rng.sample(range(sig.n), 2)
+        return "x_k d_j", {_block(sig, [(k, (1, 0)), (j, (0, 1))]): rng.choice([1, Fraction(2, 3)])}
+    terms = {}
+    for _ in range(rng.choice([1, 1, 1, 2, 3])):
+        c = rng.choice([1, -1, 2, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        terms[_sparse_monomial(sig, rng)] = c
+    return "sparse", {m: c for m, c in terms.items() if c}
+
+
+def test_bracket_terms_match_paired_products(monkeypatch):
+    # _bracket_terms, and _summary_bracket on the summaries of the same maps,
+    # against both products of every pair of terms
     rng = random.Random(907)
     seen = set()
+    branches = set()
+    called = []
+    bracket_terms, weight_terms = liesuper._bracket_terms, liesuper._weight_terms
+
+    def products(*args):
+        called.append("products")
+        return bracket_terms(*args)
+
+    def weights(w, terms, sign):
+        called.append("weights left" if sign > 0 else "weights right")
+        return weight_terms(w, terms, sign)
+
+    monkeypatch.setattr(liesuper, "_bracket_terms", products)
+    monkeypatch.setattr(liesuper, "_weight_terms", weights)
     for _ in range(10_000):
         parity = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 5)))
         sig = Signature(rng.choice(["plus", "minus"]), parity)
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
-        maps = []
-        for _ in range(2):
-            terms = {}
-            for _ in range(rng.choice([1, 1, 1, 2, 3])):
-                c = rng.choice([1, -1, 2, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
-                terms[_sparse_monomial(sig, rng)] = c
-            maps.append({m: c for m, c in terms.items() if c})
-        a, b = maps
-        got = liesuper._bracket_terms(
+        (shape_a, a), (shape_b, b) = _operand(sig, rng), _operand(sig, rng)
+        expected = _paired_bracket(sig, a, b, pa, pb)
+        assert bracket_terms(
             sig, liesuper._support_terms(sig, a), liesuper._support_terms(sig, b), pa, pb,
-        )
-        assert got == _paired_bracket(sig, a, b, pa, pb)
+        ) == expected
+        sa, sb = liesuper._summary(sig, a), liesuper._summary(sig, b)
+        called.clear()
+        assert liesuper._summary_bracket(sig, sa, sb, pa, pb) == expected
+        assert len(called) <= 1
+        even_diagonal = sa.weights is not None and not pa or sb.weights is not None and not pb
+        assert called or even_diagonal
+        branch = called[0] if called else "weights, disjoint"
+        branches.add(branch)
+        if branch.startswith("weights "):
+            used = sa if branch == "weights left" else sb
+            other = sb if branch == "weights left" else sa
+            for k, w in used.weights:
+                if other.support >> k & 1:
+                    seen.add(("weights", "clifford" if sig.is_clifford(k) else "weyl",
+                              type(w).__name__))
+        elif branch == "products":
+            seen.update(("products", shape) for shape in (shape_a, shape_b) if shape != "sparse")
+            if (sa.weights is not None and pa) or (sb.weights is not None and pb):
+                seen.add(("products", "diagonal declared odd"))
+            classes = [{term[3:] for term in x.terms} for x in (sa, sb)]
+            if not sa.support & sb.support and max(map(len, classes)) > 1:
+                seen.add(("products", "disjoint, mixed class"))
         for m1 in a:
             for m2 in b:
                 shared = [i for i in range(sig.n) if any(m1[i]) and any(m2[i])]
@@ -320,6 +391,7 @@ def test_bracket_terms_match_paired_products():
                     contracts = m1[i][1] and m2[i][0] or m2[i][1] and m1[i][0]
                     seen.add((sig.sign, "clifford" if sig.is_clifford(i) else "weyl",
                               "contracting" if contracts else "touching"))
+    assert branches == {"weights left", "weights right", "weights, disjoint", "products"}
     assert seen == {
         (sign, kind, case)
         for sign in ("plus", "minus")
@@ -327,12 +399,20 @@ def test_bracket_terms_match_paired_products():
             (index, contact) for index in ("clifford", "weyl")
             for contact in ("touching", "contracting")
         ]
+    } | {
+        ("weights", index, weight) for index in ("clifford", "weyl")
+        for weight in ("int", "Fraction")
+    } | {
+        ("products", shape) for shape in (
+            "diagonal", "x^2 d^2", "x_k d_j", "diagonal declared odd", "disjoint, mixed class",
+        )
     }
 
 
-@pytest.mark.parametrize("p, q, products", [(4, 4, 94), (16, 0, 206), (5, 27, 430), (32, 32, 878)])
+@pytest.mark.parametrize("p, q, products", [(4, 4, 38), (16, 0, 86), (5, 27, 182), (32, 32, 374)])
 def test_raw_brackets_take_two_products_per_touching_pair(monkeypatch, p, q, products):
-    # gl at rank n has 7n - 9 relations whose images share an index
+    # gl at rank n has 3n - 5 e-f relations whose images share an index; the
+    # h relations are read off the h weights, with no product
     calls = []
 
     def counting(*args):
@@ -342,7 +422,7 @@ def test_raw_brackets_take_two_products_per_touching_pair(monkeypatch, p, q, pro
     pre = preset("gl", p, q)
     monkeypatch.setattr(liesuper, "_mono_product", counting)
     liesuper._raw_brackets(pre)
-    assert len(calls) == products == 2 * (7 * (p + q) - 9)
+    assert len(calls) == products == 2 * (3 * (p + q) - 5)
 
 
 def test_check_relations_scales_only_nonzero_relations(monkeypatch):
@@ -481,24 +561,31 @@ def test_calibrate_reports_the_relations_of_what_it_returns():
     assert messages[5] == "unresolved residuals: ['[h1,e1]']"
 
 
-def test_lie_check_runs_check_triangle_once(monkeypatch, capsys):
-    calls = []
-    check_triangle = liesuper.check_triangle
+def test_lie_check_runs_the_triangle_once_on_words_built_once(monkeypatch, capsys):
+    # check_triangle and calibrate share one core, _triangle, that takes the
+    # column words built by its caller
+    calls = {"triangle": 0, "word": 0}
+    triangle, phi = liesuper._triangle, liesuper.phi_generator
 
-    def counting(*args):
-        calls.append(args)
-        return check_triangle(*args)
+    def counting_triangle(*args):
+        calls["triangle"] += 1
+        return triangle(*args)
 
-    monkeypatch.setattr(liesuper, "check_triangle", counting)
-    monkeypatch.setattr(cli, "check_triangle", counting)
-    for argv in (
-        ["lie", "check", "gl", "2", "1", "--calibrate"],
-        ["--format", "json", "lie", "check", "osp_odd", "2", "1", "--calibrate"],
-        ["lie", "check", "osp_odd", "1", "2"],
+    def counting_phi(*args):
+        calls["word"] += 1
+        return phi(*args)
+
+    monkeypatch.setattr(liesuper, "_triangle", counting_triangle)
+    monkeypatch.setattr(liesuper, "phi_generator", counting_phi)
+    for argv, columns in (
+        (["lie", "check", "gl", "2", "1", "--calibrate"], 2),
+        (["--format", "json", "lie", "check", "osp_odd", "2", "1", "--calibrate"], 3),
+        (["lie", "check", "osp_odd", "1", "2"], 3),
+        (["lie", "check", "gl", "4", "4"], 7),
     ):
-        calls.clear()
+        calls.update(triangle=0, word=0)
         assert run(argv) == 0
-        assert len(calls) == 1
+        assert calls == {"triangle": 1, "word": columns}
     capsys.readouterr()
 
 
