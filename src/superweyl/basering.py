@@ -23,10 +23,10 @@ with u -> 1 - u for odd k, u = 1 - x d and x d = 1 - u on a Clifford
 index.  Distinct indices commute, so ``_per_index`` applies the rows one
 index at a time: index i costs one pass over the terms built so far, each
 term replaced by the nonzero entries of its row, with each row built once
-per index, and an index whose rows all map their exponent to itself costs
-no pass.  The fourth map, ``datum.derive_t``, is one ``_per_index`` call on
-a column, whose entries k take the rows of the factors with roots
-``_roots(k)``.
+per index; an index where every term has exponent 0 costs no row, and one
+whose rows all map their exponent to itself costs no pass.  The fourth map,
+``datum.derive_t``, is one ``_per_index`` call on a column, whose entries k
+take the rows of the factors with roots ``_roots(k)``.
 """
 
 from __future__ import annotations
@@ -174,16 +174,21 @@ def _per_index(sig: Signature, items, row_of) -> dict:
     any int that ``row_of`` takes, an exponent or a column entry; the keys of
     ``items`` are distinct, with nonzero coefficients.  The sums run in
     integers over the common denominator, each row is built once per index,
-    an index whose rows all map their entry to itself costs no pass, and each
-    surviving key costs at most one Fraction.  Where every key has the same
-    entry at index i, two keys differ elsewhere, so no two images meet and
-    the pass builds its dict directly; otherwise it accumulates."""
+    an index where every key has entry 0 costs no row, an index whose rows
+    all map their entry to itself costs no pass, and each surviving key
+    costs at most one Fraction.  Where every key has the same entry at
+    index i, two keys differ elsewhere, so no two images meet and the pass
+    builds its dict directly; otherwise it accumulates."""
     items = list(items)
     den = lcm(*(coeff.denominator for _, coeff in items))
     acc = {key: coeff.numerator * (den // coeff.denominator) for key, coeff in items}
-    for i in range(sig.n):
+    # a pass at index i rewrites entry i alone, so the entries every index
+    # takes are those of the items
+    for i, entries in enumerate(map(set, zip(*acc))):
+        if not any(entries):
+            continue  # entry 0 takes the unit row [1] under every map
         rows, identity = {}, True
-        for e in {key[i] for key in acc}:
+        for e in entries:
             rows[e] = row = row_of(i, e)
             identity = identity and row == [0] * e + [1]
         if identity:

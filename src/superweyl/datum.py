@@ -506,7 +506,7 @@ def phi_generator(gm: GammaMatrix, col: int, kind: str = "X") -> SuperElement:
     require_valid(gm)
     _check_letter(gm, col, kind)
     pairs = tuple((k, 0) if k >= 0 else (0, -k) for k in gm.column(col))
-    el = SuperElement.from_mono(gm.sig, pairs)
+    el = SuperElement._raw(gm.sig, {pairs: 1})  # valid: require_valid passed the matrix
     return el if kind == "X" else el.star()
 
 

@@ -18,18 +18,19 @@ relation depends on the preset alone: it is computed once per ``LiePreset``,
 on integer coefficient maps (exact fractions only where an image has them),
 from one summary per image.  An even image c + sum w_k x_k d_k brackets each
 monomial to a multiple of itself read off the weights.  Two image monomials
-that share no index bracket to zero or to twice their product by a sign
-rule.  Only the O(rank) other pairs, in ``gl`` the e-f pairs that share an
-index, take the two closed-form monomial products, so the O(rank^2)
-relations cost O(rank^2) in all, with a small constant per relation.  Each
-calibration then costs one scalar multiple of every nonzero raw bracket
-minus its right-hand side; a relation with neither passes as it is.  Scale factors live in version-controlled
-fixtures; the ``calibrate`` solver re-derives them by exact scalar-ratio
-matching (the raising scale is pinned by the column-word comparison, the
-lowering scale by the diagonal e-f relations, read from the same raw
-brackets and right-hand sides) and returns the relation and triangle reports
-of its answer.  A preset of rank p + q above ``MAX_LIE_RANK`` raises
-``ResourceCapError``.
+with no index where the d of one meets the x of the other bracket to zero
+or to twice their product by a sign rule.  Only the O(rank) other pairs, in
+``gl`` the diagonal e-f pairs, take the two closed-form monomial products,
+so the O(rank^2) relations cost O(rank^2) in all, with a small constant per
+relation.  Each calibration then costs one scalar multiple of every nonzero
+raw bracket minus its right-hand side, from one table of scales and shifts
+per call; a relation with neither passes as it is.  Scale factors live in
+version-controlled fixtures; the ``calibrate`` solver re-derives them by
+exact scalar-ratio matching (the raising scale is pinned by the column-word
+comparison, the lowering scale by the diagonal e-f relations, read from the
+same raw brackets and right-hand sides) and returns the relation and
+triangle reports of its answer.  A preset of rank p + q above
+``MAX_LIE_RANK`` raises ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ from .errors import ResourceCapError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
 # Largest p + q a preset may have: a presentation holds about 3.5 (p + q)^2
-# relations, each printed and decided from the summaries of its two images,
-# all but O(p + q) of them with no monomial product (lie check gl 32 32 takes
-# about 0.1 s), and its column matrix holds (p + q)^2 entries.
+# relations, each printed and decided from the summaries of its two images;
+# only the O(p + q) whose images contract, where the d of one meets the x of
+# the other, take two monomial products per pair of terms (lie check gl 32 32
+# takes 0.05-0.08 s), and its column matrix holds (p + q)^2 entries.
 MAX_LIE_RANK = 64
 
 
@@ -297,39 +299,45 @@ class ResidualReport:
 
 
 def _support_terms(sig: Signature, terms: Mapping) -> list:
-    """(monomial, coefficient, support, length, parity) per term: the support
-    is the bitmask of the indices where the monomial has a block, the length
-    the parity of its total block length."""
+    """(monomial, coefficient, x mask, d mask, length, parity) per term: the
+    masks are the bitmasks of the indices where the monomial has an x and a
+    d, their union its support, the length the parity of its total block
+    length."""
     parity = sig.parity
     out = []
     for mono, c in terms.items():
-        support = length = odd = 0
+        xs = ds = length = odd = 0
         for i, (a, b) in enumerate(mono):
             if a or b:
-                support |= 1 << i
+                if a:
+                    xs |= 1 << i
+                if b:
+                    ds |= 1 << i
                 length += a + b
                 if parity[i]:
                     odd += a + b
-        out.append((mono, c, support, length & 1, odd & 1))
+        out.append((mono, c, xs, ds, length & 1, odd & 1))
     return out
 
 
 def _bracket_terms(sig: Signature, a: list, b: list, pa: int, pb: int) -> dict:
     """ab - (-1)^(pa*pb) ba on ``_support_terms`` lists.
 
-    Two monomials with disjoint supports multiply to one monomial either way
-    round, and m2*m1 = (-1)^(base*L1*L2 + P1*P2) m1*m2, with L the total
-    block lengths, P the parities (the block lengths on odd indices), and
-    base 1 for the plus variant and 0 for minus.  So such a pair brackets
-    to twice m1*m2 when that exponent and pa*pb differ in parity, and to
-    zero otherwise; only monomials that share an index take both products.
+    Two monomials with no index where the d of one meets the x of the other
+    contract in neither order: both products are the one monomial of the
+    summed exponents (or vanish together on a Clifford index), and m2*m1 =
+    (-1)^(base*L1*L2 + P1*P2) m1*m2, with L the total block lengths, P the
+    parities (the block lengths on odd indices), and base 1 for the plus
+    variant and 0 for minus.  So such a pair brackets to twice m1*m2 when
+    that exponent and pa*pb differ in parity, and to zero otherwise; only a
+    pair that contracts takes both products.
     """
     swap = 1 if pa & pb else -1
     plus = int(sig.sign == "plus")
     acc: dict = {}
-    for m1, c1, s1, l1, o1 in a:
-        for m2, c2, s2, l2, o2 in b:
-            if s1 & s2:
+    for m1, c1, x1, d1, l1, o1 in a:
+        for m2, c2, x2, d2, l2, o2 in b:
+            if d1 & x2 or d2 & x1:
                 c = c1 * c2
                 accumulate_terms(acc, ((m, c * s) for m, s in _mono_product(sig, m1, m2)))
                 c = swap * c
@@ -354,7 +362,8 @@ def _summary(sig: Signature, terms: Mapping) -> _Summary:
     terms = _support_terms(sig, terms)
     support = 0
     weights = []
-    for mono, c, s, _, _ in terms:
+    for mono, c, xs, ds, _, _ in terms:
+        s = xs | ds
         support |= s
         if s and weights is not None:
             k = s.bit_length() - 1
@@ -418,45 +427,58 @@ def _exact_int(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _scale(cal: Calibration, generator: tuple[str, int]):
-    """Scale factor of a generator's image; h images are not scaled."""
-    kind, k = generator
-    return 1 if kind == "h" else _exact_int((cal.e_scale if kind == "e" else cal.f_scale)[k])
+def _generator_table(preset: LiePreset, cal: Calibration) -> dict:
+    """generator -> (scale, terms) of its image on a calibration, each value
+    converted once: e and f images take their scales, h images are not
+    scaled and carry their shifts on the unit monomial."""
+    table = {}
+    for kind, images, scales in (("e", preset.e_images, cal.e_scale),
+                                 ("f", preset.f_images, cal.f_scale)):
+        for k, (img, scale) in enumerate(zip(images, scales)):
+            table[kind, k] = (_exact_int(scale), img.terms)
+    one = SuperElement._unit_key(preset.sig)
+    for k, (img, shift) in enumerate(zip(preset.h_images, cal.h_shift)):
+        shift = _exact_int(shift)
+        terms = accumulate_terms(dict(img.terms), ((one, shift),)) if shift else img.terms
+        table["h", k] = (1, terms)
+    return table
 
 
-def _linear_terms(preset: LiePreset, cal: Calibration, linear, sign: int):
+def _scaled_terms(scale, terms: Mapping) -> dict:
+    """scale times a coefficient map, as a new map."""
+    return {m: scale * c for m, c in terms.items()} if scale else {}
+
+
+def _linear_terms(table: dict, linear, sign: int):
     """(monomial, coefficient) pairs of sign times a right-hand side on the
-    scaled images, each h image counted with its shift."""
-    one = ((0, 0),) * preset.sig.n
+    images of ``_generator_table``."""
     for generator, coeff in linear:
-        kind, k = generator
-        c = sign * coeff * _scale(cal, generator)
-        yield from ((m, c * v) for m, v in getattr(preset, f"{kind}_images")[k].terms.items())
-        if kind == "h":
-            yield one, c * _exact_int(cal.h_shift[k])
+        scale, terms = table[generator]
+        c = sign * coeff * scale
+        yield from ((m, c * v) for m, v in terms.items())
 
 
-def _residual_terms(preset: LiePreset, cal: Calibration, rel: Relation, raw: Mapping) -> dict:
+def _residual_terms(table: dict, rel: Relation, raw: Mapping) -> dict:
     """Scaled raw bracket minus the relation's right-hand side."""
-    scale = _scale(cal, rel.left) * _scale(cal, rel.right)
-    acc = {m: scale * c for m, c in raw.items()} if scale else {}
+    acc = _scaled_terms(table[rel.left][0] * table[rel.right][0], raw)
     if rel.linear:
-        accumulate_terms(acc, _linear_terms(preset, cal, rel.linear, -1))
+        accumulate_terms(acc, _linear_terms(table, rel.linear, -1))
     return acc
 
 
 def check_relations(preset: LiePreset, scalings: Optional[Calibration] = None) -> ResidualReport:
     """Residual of every listed relation on the scaled images; a relation
     whose raw bracket and right-hand side are both empty passes unscaled."""
-    cal = scalings or preset.scalings
-    zero = SuperElement.zero(preset.sig)
+    sig = preset.sig
+    table = _generator_table(preset, scalings or preset.scalings)
+    zero = SuperElement.zero(sig)
     results = []
     for rel, raw in zip(preset.relations, preset.raw_brackets):
         if not (raw or rel.linear):
             results.append(RelationResult(rel.label, True, zero))
             continue
-        terms = _residual_terms(preset, cal, rel, raw)
-        results.append(RelationResult(rel.label, not terms, SuperElement._raw(preset.sig, terms)))
+        terms = _residual_terms(table, rel, raw)
+        results.append(RelationResult(rel.label, not terms, SuperElement._raw(sig, terms)))
     return ResidualReport(results)
 
 
@@ -510,18 +532,21 @@ def _column_words(preset: LiePreset) -> list[SuperElement]:
 
 
 def _triangle(preset: LiePreset, cal: Calibration, words: list[SuperElement]) -> TriangleReport:
-    """``check_triangle`` on column words already built."""
+    """``check_triangle`` on column words already built, on coefficient maps:
+    each word against its scaled raising image, and each shifted h image
+    minus the embedded ring side, accumulated into one map."""
     sig = preset.sig
     n = preset.n
-    one = SuperElement.one(sig)
-    x_matches = [words[c] == cal.e_scale[c] * preset.e_images[c] for c in range(preset.zeta.m)]
+    table = _generator_table(preset, cal)
+    x_matches = [word.terms == _scaled_terms(*table["e", c]) for c, word in enumerate(words)]
     h_offsets: list[Optional[Fraction]] = []
     for i in range(n):
         lam = sig.lam(i, i)
         ring_side = BaseRingElement._raw(sig, {(0,) * i + (1,) + (0,) * (n - i - 1): lam,
                                               (0,) * n: -lam})
-        diff = preset.h_images[i] + cal.h_shift[i] * one - iota_embed(ring_side)
-        h_offsets.append(diff.constant_value())
+        diff = dict(table["h", i][1])
+        accumulate_terms(diff, ((m, -c) for m, c in iota_embed(ring_side).terms.items()))
+        h_offsets.append(SuperElement._raw(sig, diff).constant_value())
     return TriangleReport(x_matches, h_offsets, cal.expected_h_offsets)
 
 
@@ -566,11 +591,12 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
             return failed(f"column word {c + 1} is not a scalar multiple of the raising image")
         e_scale.append(rho)
     f_scale = [Fraction(1)] * ne
+    table = _generator_table(preset, unit)
     for rel, raw in zip(preset.relations, preset.raw_brackets):
         kind, i = rel.left
         if kind != "e" or rel.right != ("f", i):
             continue
-        target = accumulate_terms({}, _linear_terms(preset, unit, rel.linear, 1))
+        target = accumulate_terms({}, _linear_terms(table, rel.linear, 1))
         rho = _scalar_ratio(target, raw)
         if rho is None or rho == 0:
             return failed(f"relation {rel.label} is not a scalar away from its target")

@@ -8,6 +8,7 @@ import pytest
 
 import superweyl.algebra
 import superweyl.basering
+import superweyl.datum
 from superweyl import (
     BaseRingElement,
     GammaMatrix,
@@ -522,6 +523,56 @@ def test_each_bridge_builds_each_row_once(monkeypatch):
     calls.clear()
     assert project_zero(embedded + SuperElement.x(sig, 0)) == r
     assert len(calls) == len({(i, a) for mono in embedded.terms for i, (a, _) in enumerate(mono)})
+
+
+def test_per_index_takes_rows_only_at_touched_indices(monkeypatch):
+    # at n = 8 a key with entry 0 at every index but two costs no row and no
+    # pass at the other six: entry 0 takes the unit row [1] under every map
+    rng = random.Random(2203)
+    touched_rows = []
+
+    def recording(sig, items, row_of, per_index=superweyl.basering._per_index):
+        def row(i, e):
+            touched_rows.append(i)
+            return row_of(i, e)
+
+        return per_index(sig, items, row)
+
+    monkeypatch.setattr(superweyl.basering, "_per_index", recording)
+    monkeypatch.setattr(superweyl.datum, "_per_index", recording)
+    shifts = (3, -1, 2, 1, -2, 5, 1, -3)
+    for sign, parity in [("minus", (0, 1, 0, 1, 0, 0, 1, 1)), ("plus", (1, 1, 0, 0, 1, 0, 1, 0))]:
+        sig = Signature(sign, parity)
+        for width in (0, 1, 2):
+            chosen = rng.sample(range(8), width)
+            terms = {}
+            for _ in range(3):
+                key = [0] * 8
+                for i in chosen:
+                    key[i] = rng.randint(0, 1 if sig.is_clifford(i) else 4)
+                terms[tuple(key)] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            r = BaseRingElement(sig, terms)
+            touched = {i for key in r.terms for i, e in enumerate(key) if e}
+            due = len({(i, key[i]) for key in r.terms for i in touched})
+            for name, call, want in [
+                ("iota", lambda: iota_embed(r), lambda: substituted_iota(r)),
+                ("tau", lambda: tau_apply(shifts, r), lambda: product_tau_apply(shifts, r)),
+            ]:
+                touched_rows.clear()
+                assert call() == want(), name
+                assert set(touched_rows) <= touched and len(touched_rows) == due, name
+            embedded = iota_embed(r)
+            touched_rows.clear()
+            assert project_zero(embedded) == r
+            assert set(touched_rows) <= touched
+            if chosen:
+                column = [[0] for _ in range(8)]
+                for i in chosen:
+                    column[i][0] = rng.choice((-1, 1) if sig.is_clifford(i) else (-3, -1, 1, 2))
+                gm = GammaMatrix(sig, tuple(map(tuple, column)))
+                touched_rows.clear()
+                assert derive_t(gm, 0) == product_t(gm, 0)
+                assert touched_rows == sorted(chosen)
 
 
 def test_three_index_round_trip_at_exponent_16():

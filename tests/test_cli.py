@@ -457,23 +457,42 @@ def test_lie_check_golden(argv, code, lines, digest, tmp_path, capsys):
 LIE_CHECK_SHA256 = json.loads(Path(__file__).with_name("lie_check_sha256.json").read_text())
 
 
-@pytest.mark.parametrize("mode", ["fixture", "calibrate"])
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("family", ["gl", "osp_even", "osp_odd"])
-def test_lie_check_bytes_up_to_rank_six(family, fmt, mode, capsys):
-    # SHA-256 of stdout per preset with p + q <= 6, recorded from the raw
-    # brackets that took both products for every pair of images sharing an index
+def _lie_check_digests(family, fmt, mode, ranks, capsys):
+    """The pinned and the current stdout SHA-256 of ``lie check`` for every
+    recorded preset of the family whose rank p + q lies in ``ranks``."""
     pinned = {
         key: digest for key, digest in LIE_CHECK_SHA256.items()
         if key.split()[0] == family and key.endswith(f" {fmt} {mode}")
+        and int(key.split()[1]) + int(key.split()[2]) in ranks
     }
-    assert len(pinned) == {"gl": 25, "osp_even": 21, "osp_odd": 27}[family]
     got = {}
     for key in pinned:
         _, p, q, _, _ = key.split()
         argv = (["--format", "json"] if fmt == "json" else []) + ["lie", "check", family, p, q]
         assert run(argv + (["--calibrate"] if mode == "calibrate" else [])) == 0
         got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return pinned, got
+
+
+@pytest.mark.parametrize("mode", ["fixture", "calibrate"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("family", ["gl", "osp_even", "osp_odd"])
+def test_lie_check_bytes_up_to_rank_six(family, fmt, mode, capsys):
+    # SHA-256 of stdout per preset with p + q <= 6, recorded from the raw
+    # brackets that took both products for every pair of images sharing an index
+    pinned, got = _lie_check_digests(family, fmt, mode, range(7), capsys)
+    assert len(pinned) == {"gl": 25, "osp_even": 21, "osp_odd": 27}[family]
+    assert got == pinned
+
+
+@pytest.mark.parametrize("mode", ["fixture", "calibrate"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("family", ["gl", "osp_even", "osp_odd"])
+def test_lie_check_bytes_at_ranks_seven_and_eight(family, fmt, mode, capsys):
+    # SHA-256 of stdout per preset with p + q in {7, 8}, recorded from the raw
+    # brackets that took both products for every pair of images sharing an index
+    pinned, got = _lie_check_digests(family, fmt, mode, (7, 8), capsys)
+    assert len(pinned) == {"gl": 17, "osp_even": 15, "osp_odd": 17}[family]
     assert got == pinned
 
 

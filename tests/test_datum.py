@@ -51,6 +51,7 @@ from helpers import (
     product_t,
     random_valid_gamma,
     widen_weyl_entries,
+    zeta_matrices,
 )
 
 EX_C = GammaMatrix(Signature("minus", (0, 1, 1)), ((1, 3, 0), (1, 0, -1), (1, -1, 1)))
@@ -310,6 +311,19 @@ def test_phi_squared_column():
     gm = bidiagonal_matrix(sig, 2, last=2)
     xn = SuperElement.x(sig, 1)
     assert phi_generator(gm, 1, "X") == xn * xn
+
+
+def test_phi_generator_matches_the_checked_monomial():
+    # the column word is built unchecked once the matrix is valid; it equals
+    # the element the checked constructor builds, for both kinds
+    rng = random.Random(1931)
+    matrices = [random_valid_gamma(rng, max_n=5, max_m=4) for _ in range(40)]
+    for gm in matrices + list(zeta_matrices(8).values()):
+        for col in range(gm.m):
+            pairs = tuple((k, 0) if k >= 0 else (0, -k) for k in gm.column(col))
+            word = SuperElement.from_mono(gm.sig, pairs)
+            assert phi_generator(gm, col, "X") == word
+            assert phi_generator(gm, col, "Y") == word.star()
 
 
 def test_eval_word_relations():

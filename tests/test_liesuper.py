@@ -333,12 +333,18 @@ def _operand(sig, rng):
 
 def test_bracket_terms_match_paired_products(monkeypatch):
     # _bracket_terms, and _summary_bracket on the summaries of the same maps,
-    # against both products of every pair of terms
+    # against both products of every pair of terms; a pair of terms that
+    # shares an index but contracts in neither order takes at most one product
     rng = random.Random(907)
     seen = set()
     branches = set()
     called = []
+    multiplied = []
     bracket_terms, weight_terms = liesuper._bracket_terms, liesuper._weight_terms
+
+    def counting_product(*args):
+        multiplied.append(args)
+        return _mono_product(*args)
 
     def products(*args):
         called.append("products")
@@ -350,6 +356,7 @@ def test_bracket_terms_match_paired_products(monkeypatch):
 
     monkeypatch.setattr(liesuper, "_bracket_terms", products)
     monkeypatch.setattr(liesuper, "_weight_terms", weights)
+    monkeypatch.setattr(liesuper, "_mono_product", counting_product)
     for _ in range(10_000):
         parity = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 5)))
         sig = Signature(rng.choice(["plus", "minus"]), parity)
@@ -378,7 +385,7 @@ def test_bracket_terms_match_paired_products(monkeypatch):
             seen.update(("products", shape) for shape in (shape_a, shape_b) if shape != "sparse")
             if (sa.weights is not None and pa) or (sb.weights is not None and pb):
                 seen.add(("products", "diagonal declared odd"))
-            classes = [{term[3:] for term in x.terms} for x in (sa, sb)]
+            classes = [{term[4:] for term in x.terms} for x in (sa, sb)]
             if not sa.support & sb.support and max(map(len, classes)) > 1:
                 seen.add(("products", "disjoint, mixed class"))
         for m1 in a:
@@ -387,15 +394,26 @@ def test_bracket_terms_match_paired_products(monkeypatch):
                 if not shared:
                     vanishes = not _paired_bracket(sig, {m1: 1}, {m2: 1}, pa, pb)
                     seen.add((sig.sign, "disjoint", vanishes))
+                contracting = False
                 for i in shared:
                     contracts = m1[i][1] and m2[i][0] or m2[i][1] and m1[i][0]
+                    contracting = contracting or contracts
                     seen.add((sig.sign, "clifford" if sig.is_clifford(i) else "weyl",
                               "contracting" if contracts else "touching"))
+                if shared and not contracting:
+                    multiplied.clear()
+                    pair = [liesuper._support_terms(sig, {m: 1}) for m in (m1, m2)]
+                    assert bracket_terms(sig, *pair, pa, pb) == _paired_bracket(
+                        sig, {m1: 1}, {m2: 1}, pa, pb)
+                    assert len(multiplied) <= 1
+                    seen.add((sig.sign, "shared", "contracting in neither order"))
     assert branches == {"weights left", "weights right", "weights, disjoint", "products"}
     assert seen == {
         (sign, kind, case)
         for sign in ("plus", "minus")
-        for kind, case in [("disjoint", True), ("disjoint", False)] + [
+        for kind, case in [
+            ("disjoint", True), ("disjoint", False), ("shared", "contracting in neither order"),
+        ] + [
             (index, contact) for index in ("clifford", "weyl")
             for contact in ("touching", "contracting")
         ]
@@ -409,10 +427,12 @@ def test_bracket_terms_match_paired_products(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("p, q, products", [(4, 4, 38), (16, 0, 86), (5, 27, 182), (32, 32, 374)])
+@pytest.mark.parametrize("p, q, products", [(4, 4, 14), (16, 0, 30), (5, 27, 62), (32, 32, 126)])
 def test_raw_brackets_take_two_products_per_touching_pair(monkeypatch, p, q, products):
-    # gl at rank n has 3n - 5 e-f relations whose images share an index; the
-    # h relations are read off the h weights, with no product
+    # gl at rank n has n - 1 e-f relations whose images contract, the
+    # diagonal [e_i, f_i]; the other e-f pairs that share an index meet d
+    # with d or x with x and take the sign rule, and the h relations are read
+    # off the h weights, with no product
     calls = []
 
     def counting(*args):
@@ -422,23 +442,32 @@ def test_raw_brackets_take_two_products_per_touching_pair(monkeypatch, p, q, pro
     pre = preset("gl", p, q)
     monkeypatch.setattr(liesuper, "_mono_product", counting)
     liesuper._raw_brackets(pre)
-    assert len(calls) == products == 2 * (3 * (p + q) - 5)
+    assert len(calls) == products == 2 * (p + q - 1)
 
 
 def test_check_relations_scales_only_nonzero_relations(monkeypatch):
     pre = preset("osp_odd", 4, 4)
-    calls = []
-    residual_terms = liesuper._residual_terms
+    cal = load_calibration(pre)
+    residuals, conversions = [], []
+    residual_terms, exact_int = liesuper._residual_terms, liesuper._exact_int
 
-    def counting(*args):
-        calls.append(args)
+    def counting_residual(*args):
+        residuals.append(args)
         return residual_terms(*args)
 
-    monkeypatch.setattr(liesuper, "_residual_terms", counting)
-    report = check_relations(pre, load_calibration(pre))
+    def counting_conversion(c):
+        conversions.append(c)
+        return exact_int(c)
+
+    monkeypatch.setattr(liesuper, "_residual_terms", counting_residual)
+    monkeypatch.setattr(liesuper, "_exact_int", counting_conversion)
+    report = check_relations(pre, cal)
     assert report.all_pass and len(report.results) == 220
-    # 182 relations have an empty raw bracket and no right-hand side
-    assert len(calls) == 38
+    # 182 relations have an empty raw bracket and no right-hand side, so 38
+    # residuals are built
+    assert len(residuals) == 38
+    # each scale factor and h shift is converted at most once per call
+    assert len(conversions) <= len(cal.e_scale) + len(cal.f_scale) + len(cal.h_shift)
     # an empty raw bracket with a right-hand side still has a residual
     wrong = liesuper.Relation(("h", 0), ("h", 1), ((("e", 0), 1),))
     report = check_relations(dataclasses.replace(pre, relations=(wrong,)))
