@@ -26,8 +26,10 @@ index is ``x^a (d^b x^c) d^e`` with
 (on a Clifford index b, c <= 1 and exponents above one vanish), and the
 terms of the product are the outer product of these per-index sums.  The
 cost is polynomial in the exponents: ``d^k x^k`` is one product with k + 1
-terms.  A word is the product of its maximal runs already in normal order,
-and the involution maps a monomial to one monomial times a sign.
+terms.  A word is normalized one index at a time: one sign from sorting its
+letters into index order, a closed form per Clifford subword, a fold of the
+runs of each Weyl subword, and one outer product of the per-index terms.
+The involution maps a monomial to one monomial times a sign.
 
 The normal form is unique, so equality of elements is structural
 equality of their sparse coefficient maps.  Coefficients are exact: ints,
@@ -43,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     InhomogeneityError,
     NilpotencyError,
+    ResourceCapError,
     SignatureMismatchError,
     UndefinedDegreeError,
 )
@@ -108,6 +111,14 @@ class Signature:
     @cached_property
     def clifford_indices(self) -> tuple[int, ...]:
         return tuple(i for i, cliff in enumerate(self._clifford) if cliff)
+
+    @cached_property
+    def _swap_masks(self) -> tuple[int, ...]:
+        # bit i of entry j: i > j and lam(i, j) == -1
+        return tuple(
+            sum(1 << i for i in range(j + 1, self.n) if self.lam(i, j) < 0)
+            for j in range(self.n)
+        )
 
 
 def accumulate_terms(acc: dict, items: Iterable) -> dict:
@@ -182,31 +193,116 @@ def _mono_product(sig: Signature, m1: SuperMonomial, m2: SuperMonomial) -> list:
     return terms
 
 
-def _word_terms(sig: Signature, codes: Sequence[int]) -> dict[SuperMonomial, int]:
-    """Normal form of a word of letter codes, as monomial -> integer coefficient.
+# Largest number of terms of a word's normal form: the product of the
+# per-index term counts, known before any fold.  eval -w Y1,X1 on
+# [[100],[100]] (10,201 terms, 2.5 MB of text) answers; on [[500],[500]]
+# (251,001 terms, 373 MB) it is refused.
+MAX_WORD_TERMS = 25_000
+# Largest fold work at one Weyl index, in coefficient updates, bounded from
+# the run exponents before any fold (``_fold_size``).  Y1,X1,Y1,X1 on [[200]]
+# (40,602) answers; on [[625]] (392,502, 8.9 s) it is refused.
+MAX_FOLD_WORK = 100_000
 
-    A letter is coded 2*index + 0 for x and + 1 for d, so integer order on
-    codes is the normal order: each maximal non-decreasing run of the word is
-    one monomial, and the word is the product of its runs.
+
+def _fold_size(counts: list) -> tuple[int, int]:
+    """(terms, work) of folding a Weyl subword given as x^a d^b run exponents
+    a0, b0, a1, b1, ...: the terms are 1 + the most d-before-x contractions,
+    found greedily, and the work bounds the coefficient updates, the terms
+    before each run after the first times the most terms one of them
+    contracts to."""
+    pending = matched = seen_d = work = 0
+    for j in range(0, len(counts), 2):
+        a, b = counts[j], counts[j + 1]
+        if j:
+            work += (1 + matched) * (1 + min(seen_d, a))
+        k = min(pending, a)
+        matched += k
+        pending += b - k
+        seen_d += b
+    return 1 + matched, work
+
+
+def _weyl_fold(counts: list) -> Iterable:
+    """Normal form of a Weyl subword of two or more runs, given as run
+    exponents a0, b0, a1, b1, ..., as ((a, b), coeff) pairs: the runs folded
+    left to right by ``_contraction``.  Every run after the first opens with
+    x and every run before the last closes with d, so each step contracts."""
+    terms = _contraction(False, *counts[:4])
+    for j in range(4, len(counts), 2):
+        a2, b2 = counts[j], counts[j + 1]
+        acc: dict = {}
+        for (a1, b1), c in terms:
+            accumulate_terms(acc, ((pair, c * s) for pair, s in _contraction(False, a1, b1, a2, b2)))
+        terms = acc.items()
+    return terms
+
+
+def _word_terms(sig: Signature, powers: Iterable[tuple[int, int]]) -> dict[SuperMonomial, int]:
+    """Normal form of a word, as monomial -> integer coefficient.
+
+    The word is given left to right as (letter code, exponent) powers with
+    positive exponents, a letter coded 2*index + 0 for x and + 1 for d.
+    Letters of distinct indices swap up to lam(i, j), so the word is a sign
+    times the index-ordered product of its one-index subwords, and its terms
+    are the outer product of their normal forms.  The sign flips once per
+    letter pair out of index order whose lam is -1: for each new letter, the
+    letters already placed at the indices of its ``_swap_masks`` entry,
+    counted mod 2 from one bit per index.  A Clifford subword that does not
+    alternate x and d holds two equal adjacent letters, so the word is 0; an
+    alternating one is x, x d, d or 1 - x d by its first and last letter.  A
+    Weyl subword folds its x^a d^b runs (``_weyl_fold``).  Both caps,
+    MAX_FOLD_WORK per Weyl index and MAX_WORD_TERMS, are checked before any
+    fold and raise ResourceCapError.
     """
-    n = sig.n
-    runs = []
-    prev = 2 * n
-    for code in codes:
-        if code < prev:
-            pairs = [[0, 0] for _ in range(n)]
-            runs.append(pairs)
-        pairs[code >> 1][code & 1] += 1
-        prev = code
-    if any(max(pairs[i]) > 1 for pairs in runs for i in sig.clifford_indices):
+    masks = sig._swap_masks
+    odd = flips = 0
+    # per index, the exponents of its subword's letters alternating x, d, x, ...
+    subwords = [[0] for _ in range(sig.n)]
+    for code, k in powers:
+        i = code >> 1
+        if k & 1:
+            flips += (odd & masks[i]).bit_count()
+            odd ^= 1 << i
+        sub = subwords[i]
+        # the last count is of this letter's kind when len(sub) and the kind
+        # bit differ in parity
+        if (len(sub) ^ code) & 1:
+            sub[-1] += k
+        else:
+            sub.append(k)
+    cliff = sig._clifford
+    if any(max(subwords[i]) > 1 for i in sig.clifford_indices):
         return {}
-    monos = [tuple(map(tuple, pairs)) for pairs in runs] or [((0, 0),) * n]
-    acc = {monos[0]: 1}
-    for run in monos[1:]:
-        acc = accumulate_terms({}, (
-            (mono, c * s) for m, c in acc.items() for mono, s in _mono_product(sig, m, run)
-        ))
-    return acc
+    # per index, its terms, or None for a Weyl subword still to fold
+    forms = []
+    count = 1
+    for i, sub in enumerate(subwords):
+        if len(sub) & 1:
+            sub.append(0)
+        if len(sub) == 2:
+            forms.append([((sub[0], sub[1]), 1)])
+        elif cliff[i]:
+            # x^a (d x)^r d^b with r >= 1, and (d x)^2 = d x on a Clifford index
+            forms.append(_contraction(True, sub[0], 1, 1, sub[-1]))
+            count *= len(forms[-1])
+        else:
+            terms, work = _fold_size(sub)
+            if work > MAX_FOLD_WORK:
+                raise ResourceCapError(
+                    f"normalizing the word takes {work} coefficient updates at index "
+                    f"{i + 1}, over the fold-work cap {MAX_FOLD_WORK}"
+                )
+            forms.append(None)
+            count *= terms
+    if count > MAX_WORD_TERMS:
+        raise ResourceCapError(
+            f"the word's normal form has {count} terms, over the term cap {MAX_WORD_TERMS}"
+        )
+    terms = [((), -1 if flips & 1 else 1)]
+    for form, sub in zip(forms, subwords):
+        form = form or _weyl_fold(sub)
+        terms = [(m + (pair,), c * v) for m, c in terms for pair, v in form]
+    return dict(terms)
 
 
 def _check_mono(sig: Signature, mono) -> SuperMonomial:
@@ -467,12 +563,19 @@ def degree_of(a: SuperElement) -> tuple[int, ...]:
 
 def word_element(sig: Signature, letters: Iterable[tuple[str, int]]) -> SuperElement:
     """Normal form of an arbitrary word given as ('x'|'d', index) letters."""
-    codes = []
+    powers = []
     n = sig.n
+    prev = None
     for kind, i in letters:
         if kind not in ("x", "d"):
             raise ValueError(f"letter kind must be 'x' or 'd', got {kind!r}")
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for n={n}")
-        codes.append(2 * i + (0 if kind == "x" else 1))
-    return SuperElement._raw(sig, _word_terms(sig, codes))
+        code = 2 * i + (0 if kind == "x" else 1)
+        if code == prev:
+            power[1] += 1
+        else:
+            power = [code, 1]
+            powers.append(power)
+            prev = code
+    return SuperElement._raw(sig, _word_terms(sig, powers))

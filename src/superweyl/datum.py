@@ -550,7 +550,8 @@ def eval_word(gm: GammaMatrix, word: Iterable[tuple[str, int]]) -> GradedElement
     A zero image with a nonzero formal degree means the word vanishes in the
     graded algebra the matrix defines.  A word whose letters carry more than
     MAX_WORD_DEGREE generator exponents in all (the sum of |entries| of each
-    letter's column) raises ResourceCapError before any work is done.
+    letter's column) raises ResourceCapError before any work is done, and
+    the normalization applies the word caps of ``algebra``.
     """
     require_valid(gm)
     word = list(word)
@@ -562,18 +563,18 @@ def eval_word(gm: GammaMatrix, word: Iterable[tuple[str, int]]) -> GradedElement
             f"word degree {total} exceeds the word-degree cap {MAX_WORD_DEGREE}"
         )
     degree = [0] * m
-    codes: list[int] = []
+    powers: list[tuple[int, int]] = []
     for kind, col in word:
         _check_letter(gm, col, kind)
         # letter code 2r for x_r and 2r + 1 for d_r, as in word_element
-        x_word = [2 * r + (k < 0) for r, k in enumerate(gm.column(col)) for _ in range(abs(k))]
+        x_word = [(2 * r + (k < 0), abs(k)) for r, k in enumerate(gm.column(col)) if k]
         if kind == "X":
-            codes += x_word
+            powers += x_word
             degree[col] += 1
         else:
-            codes += [code ^ 1 for code in reversed(x_word)]
+            powers += [(code ^ 1, k) for code, k in reversed(x_word)]
             degree[col] -= 1
-    return GradedElement(tuple(degree), SuperElement._raw(gm.sig, _word_terms(gm.sig, codes)))
+    return GradedElement(tuple(degree), SuperElement._raw(gm.sig, _word_terms(gm.sig, powers)))
 
 
 def gradation_pair(a: GradedElement, b: GradedElement) -> BaseRingElement:

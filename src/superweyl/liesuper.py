@@ -46,7 +46,6 @@ from typing import Mapping, NamedTuple, Optional
 from .algebra import (
     Signature, SuperElement, _exact, _mono_product, accumulate_terms,
 )
-from .basering import BaseRingElement, iota_embed
 from .datum import GammaMatrix, phi_generator, require_valid
 from .errors import ResourceCapError
 
@@ -469,8 +468,12 @@ def _residual_terms(table: dict, rel: Relation, raw: Mapping) -> dict:
 def check_relations(preset: LiePreset, scalings: Optional[Calibration] = None) -> ResidualReport:
     """Residual of every listed relation on the scaled images; a relation
     whose raw bracket and right-hand side are both empty passes unscaled."""
+    return _relation_report(preset, _generator_table(preset, scalings or preset.scalings))
+
+
+def _relation_report(preset: LiePreset, table: dict) -> ResidualReport:
+    """``check_relations`` on a table already built by ``_generator_table``."""
     sig = preset.sig
-    table = _generator_table(preset, scalings or preset.scalings)
     zero = SuperElement.zero(sig)
     results = []
     for rel, raw in zip(preset.relations, preset.raw_brackets):
@@ -534,18 +537,15 @@ def _column_words(preset: LiePreset) -> list[SuperElement]:
 def _triangle(preset: LiePreset, cal: Calibration, words: list[SuperElement]) -> TriangleReport:
     """``check_triangle`` on column words already built, on coefficient maps:
     each word against its scaled raising image, and each shifted h image
-    minus the embedded ring side, accumulated into one map."""
+    minus x_i d_i, the embedded ring side."""
     sig = preset.sig
-    n = preset.n
-    table = _generator_table(preset, cal)
-    x_matches = [word.terms == _scaled_terms(*table["e", c]) for c, word in enumerate(words)]
+    x_matches = [word.terms == _scaled_terms(_exact_int(scale), img.terms)
+                 for word, img, scale in zip(words, preset.e_images, cal.e_scale)]
+    one = SuperElement._unit_key(sig)
     h_offsets: list[Optional[Fraction]] = []
-    for i in range(n):
-        lam = sig.lam(i, i)
-        ring_side = BaseRingElement._raw(sig, {(0,) * i + (1,) + (0,) * (n - i - 1): lam,
-                                              (0,) * n: -lam})
-        diff = dict(table["h", i][1])
-        accumulate_terms(diff, ((m, -c) for m, c in iota_embed(ring_side).terms.items()))
+    for i, (img, shift) in enumerate(zip(preset.h_images, cal.h_shift)):
+        xd = one[:i] + ((1, 1),) + one[i + 1:]
+        diff = accumulate_terms(dict(img.terms), ((one, _exact_int(shift)), (xd, -1)))
         h_offsets.append(SuperElement._raw(sig, diff).constant_value())
     return TriangleReport(x_matches, h_offsets, cal.expected_h_offsets)
 
@@ -578,10 +578,11 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     """
     ne, n = preset.ne, preset.n
     unit = unit_calibration(ne, n)
+    table = _generator_table(preset, unit)
     words = _column_words(preset)
 
     def failed(message: str) -> CalibrationResult:
-        report, triangle = check_relations(preset, unit), _triangle(preset, unit, words)
+        report, triangle = _relation_report(preset, table), _triangle(preset, unit, words)
         return CalibrationResult(unit, False, message, report, triangle)
 
     e_scale = []
@@ -591,7 +592,6 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
             return failed(f"column word {c + 1} is not a scalar multiple of the raising image")
         e_scale.append(rho)
     f_scale = [Fraction(1)] * ne
-    table = _generator_table(preset, unit)
     for rel, raw in zip(preset.relations, preset.raw_brackets):
         kind, i = rel.left
         if kind != "e" or rel.right != ("f", i):

@@ -57,6 +57,12 @@ of its row factors, each factor the product of its linear factors u_r - root
 from the members of ``exhaustive_scan``, keeping every image and projected
 image as a list and reading each flag off whole lists, the way
 ``injectivity_report`` did before it kept one set of images.
+
+``run_fold_word_terms`` is the eleventh: it cuts a word of letter codes into
+its maximal runs already in normal order and folds them left to right into
+one multi-index accumulator through ``_mono_product``, the way
+``_word_terms`` did before it normalized one index at a time.
+``eval_word_codes`` spells a word over {X_i, Y_i} in those letter codes.
 """
 
 import itertools
@@ -77,6 +83,7 @@ from superweyl import (
     word_element,
     zeta_matrix,
 )
+from superweyl.algebra import _mono_product, accumulate_terms
 from superweyl.basering import _roots
 from superweyl.datum import ValidationReport
 from superweyl.support import InjectivityReport
@@ -531,6 +538,40 @@ def product_eval_word(gm, word):
         image = image * phi_generator(gm, col, kind)
         degree[col] += 1 if kind == "X" else -1
     return tuple(degree), image
+
+
+def run_fold_word_terms(sig, codes):
+    """Normal form of a word of letter codes (2*index, + 1 for d), as
+    monomial -> coefficient, by the product of its normal-ordered runs."""
+    n = sig.n
+    runs = []
+    prev = 2 * n
+    for code in codes:
+        if code < prev:
+            pairs = [[0, 0] for _ in range(n)]
+            runs.append(pairs)
+        pairs[code >> 1][code & 1] += 1
+        prev = code
+    if any(max(pairs[i]) > 1 for pairs in runs for i in sig.clifford_indices):
+        return {}
+    monos = [tuple(map(tuple, pairs)) for pairs in runs] or [((0, 0),) * n]
+    acc = {monos[0]: 1}
+    for run in monos[1:]:
+        acc = accumulate_terms({}, (
+            (mono, c * s) for m, c in acc.items() for mono, s in _mono_product(sig, m, run)
+        ))
+    return acc
+
+
+def eval_word_codes(gm, word):
+    """Letter codes of a word over {X_i, Y_i}: X_i spells its column, rows
+    ascending, as x_r^k (k > 0) or d_r^|k|; Y_i is that reversed, x and d
+    swapped."""
+    codes = []
+    for kind, col in word:
+        x_word = [2 * r + (k < 0) for r, k in enumerate(gm.column(col)) for _ in range(abs(k))]
+        codes += x_word if kind == "X" else [code ^ 1 for code in reversed(x_word)]
+    return codes
 
 
 def _letters(gm, g):

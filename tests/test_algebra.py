@@ -11,6 +11,7 @@ from superweyl import (
     BaseRingElement,
     InhomogeneityError,
     NilpotencyError,
+    ResourceCapError,
     Signature,
     SignatureMismatchError,
     SuperElement,
@@ -21,7 +22,8 @@ from superweyl import (
     power_gen,
     word_element,
 )
-from superweyl.algebra import SparseElement, _exact
+import superweyl.algebra
+from superweyl.algebra import MAX_FOLD_WORK, MAX_WORD_TERMS, SparseElement, _exact
 from superweyl.basering import tau_single
 from helpers import (
     act,
@@ -30,6 +32,7 @@ from helpers import (
     random_monomial,
     random_signature,
     random_word,
+    run_fold_word_terms,
     sample_basis,
 )
 
@@ -471,3 +474,122 @@ def test_package_all_is_clean():
     namespace: dict = {}
     exec("from superweyl import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _codes(letters):
+    return [2 * i + (kind == "d") for kind, i in letters]
+
+
+def test_word_terms_match_the_run_fold():
+    rng = random.Random(2407)
+    clifford_zero = multi_term = 0
+    for sign in ("minus", "plus"):
+        for n in range(1, 6):
+            for bits in range(1 << n):
+                sig = Signature(sign, tuple((bits >> i) & 1 for i in range(n)))
+                for _ in range(40):
+                    letters = random_word(sig, rng, max_len=14)
+                    expected = run_fold_word_terms(sig, _codes(letters))
+                    assert word_element(sig, letters).terms == expected, (sig, letters)
+                    clifford_zero += not expected and bool(sig.clifford_indices)
+                    multi_term += len(expected) > 1
+    assert clifford_zero and multi_term
+
+
+def test_word_terms_take_no_monomial_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomial product taken")
+
+    sig = Signature("plus", (1, 0, 1))
+    letters = [("d", 2), ("x", 0), ("d", 0), ("x", 2), ("d", 1), ("x", 0), ("x", 1)]
+    expected = run_fold_word_terms(sig, _codes(letters))
+    monkeypatch.setattr(superweyl.algebra, "_mono_product", refuse)
+    # d3 x1 d1 x3 d2 x1 x2: x d x on index 1 and d x on the Weyl index 3 and
+    # the Clifford index 2 contract to two terms each
+    assert word_element(sig, letters).terms == expected and len(expected) == 8
+
+
+def _weyl_power(k):
+    """d^k x^k on one Weyl index, as ((a, b), coefficient) pairs."""
+    return [((k - j, k - j), comb(k, j) ** 2 * factorial(j)) for j in range(k + 1)]
+
+
+def _outer(forms):
+    terms = {(): 1}
+    for form in forms:
+        terms = {m + (pair,): c * v for m, c in terms.items() for pair, v in form}
+    return terms
+
+
+@pytest.mark.parametrize("k, n", [(20, 2), (8, 3)])
+def test_multi_index_words_are_outer_products_of_weyl_identities(k, n):
+    # Y1 on a column of k's is d_n^k ... d_1^k; lam is 1 between all indices
+    for sig in (Signature("minus", (0,) * n), Signature("plus", (1,) * n)):
+        y1 = [("d", i) for i in reversed(range(n)) for _ in range(k)]
+        x1 = [("x", i) for i in range(n) for _ in range(k)]
+        assert word_element(sig, y1 + x1).terms == _outer([_weyl_power(k)] * n)
+        # Y1,X1,Y1,X1: (d^k x^k)^2 at each index, squared as an element on one index
+        weyl = SuperElement(Signature(sig.sign, sig.parity[:1]),
+                            {(pair,): c for pair, c in _weyl_power(k)})
+        square = [(m[0], c) for m, c in (weyl * weyl).terms.items()]
+        assert word_element(sig, (y1 + x1) * 2).terms == _outer([square] * n)
+
+
+@pytest.mark.parametrize("sig", [Signature("minus", (1,)), Signature("plus", (0,))], ids=str)
+def test_clifford_subword_closed_forms(sig):
+    x1, d1, one, xd = ((1, 0),), ((0, 1),), ((0, 0),), ((1, 1),)
+    forms = {
+        "xdx": {x1: 1}, "xdxdx": {x1: 1},
+        "xd": {xd: 1}, "xdxd": {xd: 1},
+        "dx": {one: 1, xd: -1}, "dxdx": {one: 1, xd: -1}, "dxdxdx": {one: 1, xd: -1},
+        "dxd": {d1: 1}, "dxdxd": {d1: 1},
+        "xx": {}, "dd": {}, "xddx": {}, "dxxd": {}, "xdxx": {}, "ddxd": {},
+    }
+    for word, terms in forms.items():
+        assert word_element(sig, [(kind, 0) for kind in word]).terms == terms, word
+
+
+def test_clifford_subword_zero_across_other_indices():
+    sig = Signature("minus", (0, 1))
+    # index 2 is Clifford: its subword x d x alternates, x x does not
+    assert word_element(sig, [("x", 1), ("d", 0), ("d", 1), ("x", 0), ("x", 1)]).terms
+    assert not word_element(sig, [("x", 1), ("d", 0), ("x", 0), ("x", 1)]).terms
+
+
+def test_word_term_cap_boundary(monkeypatch):
+    sig = Signature("minus", (0, 0))
+
+    def word(k0, k1):
+        return [("d", 0)] * k0 + [("x", 0)] * k0 + [("d", 1)] * k1 + [("x", 1)] * k1
+
+    assert MAX_WORD_TERMS == 25_000 == 125 * 200
+    assert len(word_element(sig, word(124, 199)).terms) == MAX_WORD_TERMS
+
+    def refuse(*args):
+        raise AssertionError("folded an over-cap word")
+
+    monkeypatch.setattr(superweyl.algebra, "_contraction", refuse)
+    with pytest.raises(ResourceCapError, match="has 25001 terms, over the term cap 25000"):
+        word_element(sig, word(22, 1086))  # 23 * 1087 terms
+
+
+def test_fold_work_cap_boundary(monkeypatch):
+    # d^b0 x^a1 d^b1 x^a2 at one index does 1 + min(b0, a1) updates on its
+    # first contraction, then (1 + min(b0, a1)) (1 + min(b0 + b1, a2)) more
+    sig = Signature("plus", (1, 0))
+
+    def word(b0, a1, b1, a2):
+        return [("d", 0)] * b0 + [("x", 0)] * a1 + [("d", 0)] * b1 + [("x", 0)] * a2
+
+    assert MAX_FOLD_WORK == 100_000 == 250 + 250 * 399
+    assert len(word_element(sig, word(249, 249, 149, 398)).terms) == 399
+
+    def refuse(*args):
+        raise AssertionError("folded an over-cap word")
+
+    monkeypatch.setattr(superweyl.algebra, "_contraction", refuse)
+    over = word(10, 10, 9079, 9089)  # 11 + 11 * 9090 = 100001 updates
+    with pytest.raises(ResourceCapError, match="100001 coefficient updates at index 1"):
+        word_element(sig, over)
+    # the same letters on the Clifford index 2 make a zero word, not a refused one
+    assert not word_element(sig, [(kind, 1) for kind, _ in over]).terms

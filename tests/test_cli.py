@@ -390,6 +390,25 @@ def test_entry_cap_is_a_resource_error(argv, code, out, err, matrix_file, capsys
     assert capsys.readouterr() == (out, err)
 
 
+def test_word_caps_are_resource_errors(matrix_file, capsys):
+    # Y1,X1 on [[k],[k]] has (k + 1)^2 terms; Y1,X1,Y1,X1 on [[k]] folds
+    # 1 + k + (k + 1)^2 coefficient updates
+    def eval_word(gamma, word):
+        path = matrix_file({"sign": "minus", "parity": [0] * len(gamma), "gamma": gamma})
+        return run(["eval", path, "-w", word]), capsys.readouterr()
+
+    code, (out, err) = eval_word([[100], [100]], "Y1,X1")
+    # every coefficient is positive: 10,201 terms joined by " + "
+    assert code == 0 and out.count(" + ") == 101 ** 2 - 1 and err == ""
+    code, (out, err) = eval_word([[200]], "Y1,X1,Y1,X1")
+    assert code == 0 and err == ""
+    assert eval_word([[500], [500]], "Y1,X1") == (
+        2, ("", "error: the word's normal form has 251001 terms, over the term cap 25000\n"))
+    assert eval_word([[625]], "Y1,X1,Y1,X1") == (2, (
+        "", "error: normalizing the word takes 392502 coefficient updates at index 1, "
+        "over the fold-work cap 100000\n"))
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["lie", "check", "-h"], ["florp"]])
 def test_module_entry_point_matches_run(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")

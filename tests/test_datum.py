@@ -45,11 +45,13 @@ from helpers import (
     bidiagonal_matrix,
     closed_form_consistency,
     dense_validation,
+    eval_word_codes,
     expanded_consistency,
     per_root_t_size,
     product_eval_word,
     product_t,
     random_valid_gamma,
+    run_fold_word_terms,
     widen_weyl_entries,
     zeta_matrices,
 )
@@ -762,6 +764,18 @@ def test_eval_word_matches_letter_by_letter_product():
     gm = GammaMatrix(Signature("minus", (0,)), ((7,),))
     assert (eval_word(gm, [("Y", 0), ("X", 0)]).image
             == product_eval_word(gm, [("Y", 0), ("X", 0)])[1])
+
+
+def test_eval_word_matches_the_run_fold():
+    rng = random.Random(2024)
+    matrices = [random_valid_gamma(rng, max_n=5, max_m=4, sign=sign)
+                for sign in ("minus", "plus") for _ in range(150)]
+    matrices += list(zeta_matrices(8).values())
+    for gm in matrices:
+        for _ in range(3):
+            word = [(rng.choice("XY"), rng.randrange(gm.m)) for _ in range(rng.randint(0, 5))]
+            assert eval_word(gm, word).image.terms == run_fold_word_terms(
+                gm.sig, eval_word_codes(gm, word)), (gm, word)
 
 
 def test_eval_word_takes_no_element_products(monkeypatch):

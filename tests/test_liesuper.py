@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import expanded_relations
 from superweyl import (
+    BaseRingElement,
     Calibration,
     ResourceCapError,
     Signature,
@@ -17,6 +19,7 @@ from superweyl import (
     check_triangle,
     consistency_check,
     derive_datum,
+    iota_embed,
     load_calibration,
     phi_generator,
     preset,
@@ -616,6 +619,53 @@ def test_lie_check_runs_the_triangle_once_on_words_built_once(monkeypatch, capsy
         assert run(argv) == 0
         assert calls == {"triangle": 1, "word": columns}
     capsys.readouterr()
+
+
+def test_lie_check_embeds_nothing_and_calibrate_builds_two_tables(monkeypatch, capsys):
+    calls = {"iota": 0, "table": 0}
+    iota, table = iota_embed, liesuper._generator_table
+
+    def counting_iota(*args):
+        calls["iota"] += 1
+        return iota(*args)
+
+    def counting_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("superweyl")]:
+        for name, value in list(vars(module).items()):
+            if value is iota:
+                monkeypatch.setattr(module, name, counting_iota)
+    monkeypatch.setattr(liesuper, "_generator_table", counting_table)
+    for argv in (
+        ["lie", "check", "gl", "2", "1", "--calibrate"],
+        ["--format", "json", "lie", "check", "osp_odd", "2", "1", "--calibrate"],
+        ["lie", "check", "osp_even", "1", "3", "--calibrate"],
+        ["lie", "check", "osp_odd", "1", "2"],
+    ):
+        calls.update(iota=0, table=0)
+        assert run(argv) == 0
+        assert calls["iota"] == 0 and calls["table"] <= 2
+    capsys.readouterr()
+    # the unit table serves the lowering scales and a failed calibration
+    pre = preset("gl", 2, 2)
+    one = SuperElement.one(pre.sig)
+    for candidate in (pre, dataclasses.replace(
+            pre, e_images=(pre.e_images[0] + one,) + pre.e_images[1:])):
+        calls.update(iota=0, table=0)
+        result = calibrate(candidate)
+        assert calls == {"iota": 0, "table": 2 if result.solved else 1}
+
+
+def test_h_offsets_subtract_the_embedded_ring_side():
+    # lam(i,i) (u_i - 1) embeds to x_i d_i on every index of every preset
+    for family, p, q in ALL_COMBOS:
+        sig = preset(family, p, q).sig
+        for i in range(sig.n):
+            lam = sig.lam(i, i)
+            ring_side = lam * (BaseRingElement.u(sig, i) - BaseRingElement.one(sig))
+            assert iota_embed(ring_side) == word_element(sig, [("x", i), ("d", i)])
 
 
 def test_lie_rank_is_capped(capsys):
