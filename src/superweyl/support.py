@@ -16,7 +16,7 @@ A box is decided by one membership walk, ``_members``, with two readers:
 ``enumerate_support`` adds the witnesses of the members the walk did not
 search and caps the witness letters, and ``injectivity_report`` reads only
 the points.  The search builds a witness, so the walk caps the searched
-points' letters as ``enumerate_support`` does.  The walk does three things
+points' letters as ``enumerate_support`` does.  The walk does four things
 a point-by-point scan would not:
 
 - It walks only contained points, those whose image has every Clifford row
@@ -35,6 +35,13 @@ a point-by-point scan would not:
   no state can fail, so it is a member, and its witness is its letters in
   column order.  A branch all of whose points are such is handed over as
   its range of last entries, with no work per point.
+- A point's search repeats a periodic descent in one step.  A Clifford
+  row's entries alternate, so a deep point's witness is a long, mostly
+  periodic word over a few letters: once the descent comes back to the last
+  signs it had some letters earlier, with the same letters left and nothing
+  exhausted, the same choices follow, and the search takes every repeat the
+  counts allow at once (see ``_arrange``).  A deep point costs steps for its
+  aperiodic part and one period, not one step per letter.
 
 Work that does not depend on the point is done once: the matrix's Clifford
 view (``GammaMatrix.clifford_view``: its Clifford rows, and per column the
@@ -172,36 +179,82 @@ def _arrange(letters, counts: list[int], failed: set, image_plus: int, image_min
     ``failed`` holds states known to have no admissible completion.  They do
     not depend on the point, so callers may share one set between points
     with the same letters; the search adds the states it exhausts.
+
+    A frame is the pair of last-sign masks at one depth.  Until a state
+    fails, each step places the least letter that has copies left and
+    repeats no row's last sign, so the letter placed depends only on the
+    frame and on which letters have copies left.  When the descent comes
+    back to a frame it left p letters earlier, every letter of those p
+    still has a copy and ``failed`` is empty, the p choices repeat as long
+    as every letter they use keeps a copy: k = min over the period's letters
+    of (copies - 1) // uses times.  The search takes the k repeats in one
+    step, and puts k copies of the period's frames on its stack: those are
+    the frames the one-letter steps would have built, with the same masks
+    and the same letters placed, so a later backtrack walks the same frames
+    in the same order and adds the same states to ``failed``.  The witness,
+    the memo and the counts left are those of one letter per step.
     """
-    # an explicit stack holds one level per letter, so deep queries do not
+    # an explicit stack holds one frame per letter, so deep queries do not
     # hit the recursion limit; a state that failed once is never re-expanded
     total = sum(counts)
+    size = len(letters)
     path: list[int] = []  # letter index placed at each depth
-    stack = [(image_minus, image_plus, 0)]  # (rows last 1, rows last -1, next letter to try)
-    while stack:
+    stack = [(image_minus, image_plus)]  # per depth: (rows last 1, rows last -1)
+    # Brent's cycle detection: each new frame is compared with the frame at
+    # depth ``mark``, which moves up to the new frame once ``lap`` letters
+    # have passed since it was set, ``lap`` doubling each time
+    mark, lap = 0, 1
+    mark_plus, mark_minus = image_minus, image_plus
+    start = 0  # the next letter to try at this depth
+    while True:
         if len(path) == total:
-            return tuple(letters[idx][:2] for idx in path)
-        last_plus, last_minus, start = stack[-1]
-        for idx in range(start, len(letters)):
+            if total < 16:
+                # a short witness is cheaper to build letter by letter
+                return tuple([letters[idx][:2] for idx in path])
+            # one (column, sign) pair per letter, shared by all its copies
+            pairs = [letter[:2] for letter in letters]
+            return tuple(map(pairs.__getitem__, path))
+        last_plus, last_minus = stack[-1]
+        for idx in range(start, size):
             _, _, plus, minus = letters[idx]
             # a letter may not repeat the last nonzero sign of any row it touches
             if not counts[idx] or plus & last_plus or minus & last_minus:
                 continue
             counts[idx] -= 1
-            keep = ~(plus | minus)
-            new_plus, new_minus = last_plus & keep | plus, last_minus & keep | minus
+            new_plus, new_minus = last_plus & ~minus | plus, last_minus & ~plus | minus
             if not failed or (tuple(counts), new_plus, new_minus) not in failed:
-                stack[-1] = (last_plus, last_minus, idx + 1)
-                stack.append((new_plus, new_minus, 0))
                 path.append(idx)
+                if new_plus == mark_plus and new_minus == mark_minus and not failed:
+                    # back at the mark frame with nothing exhausted: the
+                    # period path[mark:] repeats while its letters keep a
+                    # copy, which takes two copies of the letter just placed
+                    # and more letters left than the period holds
+                    if counts[idx] > 1 and total + mark > 2 * len(path):
+                        period = path[mark:]
+                        uses = [(j, period.count(j)) for j in set(period)]
+                        k = min((counts[j] - 1) // u for j, u in uses)
+                        if k > 0:
+                            for j, u in uses:
+                                counts[j] -= k * u
+                            path += period * k
+                            stack += stack[mark:] * k
+                    # detect the next period, if any, from here
+                    mark, lap = len(path), 1
+                elif len(path) - mark == lap:
+                    mark, lap, mark_plus, mark_minus = len(path), 2 * lap, new_plus, new_minus
+                stack.append((new_plus, new_minus))
+                start = 0
                 break
             counts[idx] += 1
         else:
             stack.pop()
             failed.add((tuple(counts), last_plus, last_minus))
-            if path:
-                counts[path.pop()] += 1
-    return None
+            if not path:
+                return None
+            # resume the frame below after the letter it placed
+            start = path.pop()
+            counts[start] += 1
+            start += 1
 
 
 def verify_witness(gm: GammaMatrix, g: Sequence[int], witness: Witness) -> bool:
@@ -591,22 +644,27 @@ def injectivity_report(
     for one whose letters do is dropped.  So the witness caps bound only the
     searched points, as in the walk.
 
-    Each image goes into one set as it is computed, and the zero fiber is
-    read in the same pass.  The projected images are built only when
-    distinct points have distinct images and the matrix has a Clifford row:
-    otherwise they are distinct exactly when the images are.
+    At rank == m no image is built to decide the plain criteria: gamma is
+    injective on Z^m, so the images are distinct and only g = 0 maps to
+    zero.  Below it, each image goes into one set as it is computed, and the
+    zero fiber is read in the same pass.  The projected images are built
+    only when distinct points have distinct images and the matrix has a
+    Clifford row: otherwise they are distinct exactly when the images are.
     """
     box = _checked_box(gm, box, cap)
     rank, kernel = gamma_rank_kernel(gm)
     pts = [head + (v,) for head, values, _ in _members(gm, box, False) for v in values]
-    images = set()
-    zero_fiber = True
-    for g in pts:
-        image = gm.apply(g)
-        images.add(image)
-        if not any(image) and any(g):
-            zero_fiber = False
-    distinct = len(images) == len(pts)
+    distinct = zero_fiber = True
+    if rank < gm.m:
+        images = set()
+        for g in pts:
+            image = gm.apply(g)
+            images.add(image)
+            if not any(image) and any(g):
+                zero_fiber = False
+        distinct = len(images) == len(pts)
+    else:
+        images = map(gm.apply, pts)  # computed only for the projected images
     p_distinct = distinct
     if distinct and gm.sig.clifford_indices:
         cliff = [gm.sig.is_clifford(r) for r in range(gm.n)]

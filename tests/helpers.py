@@ -63,6 +63,13 @@ its maximal runs already in normal order and folds them left to right into
 one multi-index accumulator through ``_mono_product``, the way
 ``_word_terms`` did before it normalized one index at a time.
 ``eval_word_codes`` spells a word over {X_i, Y_i} in those letter codes.
+
+``dfs_arrange`` is the twelfth: it takes the same arguments as
+``superweyl.support._arrange`` and places one letter per step, with the
+first-touch rule and the shared failed-state memo but no repeated periods,
+the way ``_arrange`` did before it repeated a recurring descent in one step.
+Its witness, the states it adds to the memo and the counts it leaves must
+all be the same.
 """
 
 import itertools
@@ -670,3 +677,37 @@ def list_injectivity_report(gm, box):
         p_gamma_zero_fiber=zero_fiber,
         p_gamma_distinct_on_box=len(set(projected)) == len(projected),
     )
+
+
+def dfs_arrange(letters, counts, failed, image_plus, image_minus):
+    """``_arrange`` one letter per step: least admissible ordering of
+    ``counts[i]`` copies of each letter (column, sign, plus, minus), or None,
+    starting each row whose image is 1 (-1) as if its last sign were -1 (1),
+    and adding the exhausted states to ``failed``."""
+    total = sum(counts)
+    path = []  # letter index placed at each depth
+    stack = [(image_minus, image_plus, 0)]  # (rows last 1, rows last -1, next letter to try)
+    while stack:
+        if len(path) == total:
+            return tuple(letters[idx][:2] for idx in path)
+        last_plus, last_minus, start = stack[-1]
+        for idx in range(start, len(letters)):
+            _, _, plus, minus = letters[idx]
+            # a letter may not repeat the last nonzero sign of any row it touches
+            if not counts[idx] or plus & last_plus or minus & last_minus:
+                continue
+            counts[idx] -= 1
+            keep = ~(plus | minus)
+            new_plus, new_minus = last_plus & keep | plus, last_minus & keep | minus
+            if not failed or (tuple(counts), new_plus, new_minus) not in failed:
+                stack[-1] = (last_plus, last_minus, idx + 1)
+                stack.append((new_plus, new_minus, 0))
+                path.append(idx)
+                break
+            counts[idx] += 1
+        else:
+            stack.pop()
+            failed.add((tuple(counts), last_plus, last_minus))
+            if path:
+                counts[path.pop()] += 1
+    return None

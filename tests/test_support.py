@@ -1,7 +1,9 @@
+import collections
 import functools
 import itertools
 import json
 import random
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from superweyl import (
 from superweyl.cli import run
 from helpers import (
     bidiagonal_matrix,
+    dfs_arrange,
     exhaustive_scan,
     exhaustive_witness,
     inj_example_matrices,
@@ -40,6 +43,19 @@ EX_C = GammaMatrix(Signature("minus", (0, 1, 1)), ((1, 3, 0), (1, 0, -1), (1, -1
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # row 1 Clifford, row 2 Weyl; (17s, 16s, -19s, 17s + 1) is a member for every s
 MIXED = GammaMatrix(Signature("minus", (1, 0)), ((1, 0, 0, -1), (0, -1, 1, 0)))
+# rows 1 and 3 Clifford; searches for deep points near multiples of (1, 1, 0, 0)
+# repeat a period, then exhaust some of the repeated frames
+DEEP_BACKTRACK = GammaMatrix(
+    Signature("plus", (0, 1, 0)), ((-1, 1, -1, 1), (1, -1, 0, -2), (1, -1, -1, 1)))
+# row 3 Weyl: the first column touches no Clifford row, so its letters repeat
+# as a period of one, and then some non-members exhaust the repeated frames
+WEYL_RUN_BACKTRACK = GammaMatrix(
+    Signature("plus", (0, 0, 1, 0)), ((0, -1, 1, 1), (0, 1, 0, 1), (2, 0, -2, 0), (0, 1, -1, 1)))
+# rows 1, 2 and 4 Clifford; the member (-11, -6, -5, -11) repeats a period,
+# exhausts some of the repeated frames, then finds its witness
+PERIOD_BACKTRACK = GammaMatrix(
+    Signature("plus", (0, 0, 1, 0, 1)),
+    ((1, 1, -1, -1), (0, 1, 1, -1), (-2, 0, -2, 0), (1, -1, -1, 0), (-1, -1, 0, -2)))
 
 
 def all_clifford_bidiagonal(n):
@@ -409,6 +425,146 @@ def test_search_still_backtracks(monkeypatch):
         assert states == len(failed) == 1
 
 
+class RecordingCounts(list):
+    """Remaining counts that log each update as (index, old, new)."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.log = []
+
+    def __setitem__(self, index, value):
+        self.log.append((index, self[index], value))
+        super().__setitem__(index, value)
+
+
+def repeated_spans(counts):
+    """The remaining letter counts (before, after) of each step in which the
+    search took two or more copies of a letter at once, that is, repeated a
+    period; a step that takes from several letters is one span."""
+    remaining = sum(counts) + sum(old - new for _, old, new in counts.log)
+    spans = []
+    taking = False
+    for _, old, new in counts.log:
+        if old - new >= 2:
+            if not taking:
+                spans.append([remaining, remaining])
+            spans[-1][1] = remaining + new - old
+        taking = old - new >= 2
+        remaining += new - old
+    return [tuple(span) for span in spans]
+
+
+def compare_with_one_letter_search(search, letters, counts, failed, masks, seen):
+    """Run ``search`` (``_arrange``) and ``dfs_arrange`` on copies of the same
+    input and check the witness, the memo and the counts left; tally in
+    ``seen``."""
+    expected_counts, expected_failed = list(counts), set(failed)
+    expected = dfs_arrange(letters, expected_counts, expected_failed, *masks)
+    recording = RecordingCounts(counts)
+    handed = len(failed)
+    witness = search(letters, recording, failed, *masks)
+    assert (witness, list(recording), failed) == (expected, expected_counts, expected_failed)
+    seen["handed a memo"] += bool(handed)
+    seen["backtracked"] += len(failed) > handed
+    seen["repeated"] += bool(repeated_spans(recording))
+    return witness
+
+
+def deep_points(rng, gm, bases=4):
+    """Contained points s * base + d, s in 2..40 and d in {-1, 0, 1}^m, for a
+    few nonzero bases in [-2, 2]^m on which every Clifford row vanishes."""
+    cliff = gm.clifford_view[0]
+    kernel = [b for b in itertools.product(range(-2, 3), repeat=gm.m)
+              if any(b) and not any(sum(map(mul, row, b)) for row in cliff)]
+    for base in rng.sample(kernel, min(bases, len(kernel))):
+        s = rng.randint(2, 40)
+        for d in itertools.product((-1, 0, 1), repeat=gm.m):
+            g = tuple(s * b + e for b, e in zip(base, d))
+            if all(abs(sum(map(mul, row, g))) <= 1 for row in cliff):
+                yield g
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_period_repeats_match_the_one_letter_search(sign):
+    # one memo per matrix and sign pattern, as the membership walk shares it,
+    # so later searches are handed non-empty memos
+    rng = random.Random(f"period-{sign}")
+    seen = collections.Counter()
+    matrices = [random_valid_gamma(rng, max_n=5, max_m=4, sign=sign) for _ in range(200)]
+    if sign == "plus":
+        matrices += [DEEP_BACKTRACK, WEYL_RUN_BACKTRACK, PERIOD_BACKTRACK]
+    for gm in matrices:
+        memos = collections.defaultdict(set)
+        for g in deep_points(rng, gm):
+            masks = superweyl.support._sign_masks(sum(map(mul, row, g)) for row in gm.clifford_view[0])
+            failed = memos[tuple((v > 0) - (v < 0) for v in g)]
+            letters = superweyl.support._letters(gm, g)
+            counts = [abs(v) for v in g if v]
+            witness = compare_with_one_letter_search(
+                superweyl.support._arrange, letters, counts, failed, masks, seen)
+            if witness is not None:
+                assert verify_witness(gm, g, witness)
+    assert seen["repeated"] > 100, seen
+    if sign == "plus":
+        assert seen["backtracked"] > 10 and seen["handed a memo"] > 10, seen
+
+
+def test_enumeration_over_deep_boxes_matches_the_one_letter_search(monkeypatch):
+    seen = collections.Counter()
+    search = superweyl.support._arrange
+    monkeypatch.setattr(
+        superweyl.support, "_arrange",
+        lambda letters, counts, failed, *masks: compare_with_one_letter_search(
+            search, letters, counts, failed, masks, seen))
+    rng = random.Random("deep-boxes")
+    cases = [
+        (sample("band"), [(0, 40), (0, 40)]),
+        (MIXED, [(15, 18), (14, 17), (-19, -16), (15, 18)]),
+        (DEEP_BACKTRACK, [(-9, -7), (-9, -7), (-1, 1), (-1, 1)]),
+        (WEYL_RUN_BACKTRACK, [(20, 22), (-1, 1), (-1, 1), (-1, 1)]),
+        (PERIOD_BACKTRACK, [(-12, -10), (-7, -5), (-6, -4), (-12, -10)]),
+    ]
+    for _ in range(40):
+        gm = random_valid_gamma(rng, max_n=5, max_m=4, sign=rng.choice(["minus", "plus"]))
+        for g in itertools.islice(deep_points(rng, gm, bases=1), 1):
+            cases.append((gm, [(v - 1, v + 1) for v in g]))
+    for gm, box in cases:
+        enumerate_support(gm, box)
+    assert seen["repeated"] > 100 and seen["backtracked"] and seen["handed a memo"], seen
+
+
+def test_search_backtracks_through_a_repeated_period():
+    # the search for the member (-11, -6, -5, -11) repeats a period in one
+    # step, exhausts frames that step put on its stack, and then finds the
+    # same witness as the search that places one letter at a time
+    g = (-11, -6, -5, -11)
+    letters = superweyl.support._letters(PERIOD_BACKTRACK, g)
+    masks = superweyl.support._sign_masks(
+        sum(map(mul, row, g)) for row in PERIOD_BACKTRACK.clifford_view[0])
+    expected_counts, expected_failed = [11, 6, 5, 11], set()
+    expected = dfs_arrange(letters, expected_counts, expected_failed, *masks)
+    counts, failed = RecordingCounts([11, 6, 5, 11]), set()
+    witness = superweyl.support._arrange(letters, counts, failed, *masks)
+    assert witness == expected and verify_witness(PERIOD_BACKTRACK, g, witness)
+    assert counts == expected_counts and failed == expected_failed and len(failed) == 30
+    spans = repeated_spans(counts)
+    assert spans == [(20, 8)]
+    # 12 of the exhausted states belong to repeated frames: 20 to 9 letters left
+    assert sum(after < sum(state[0]) <= before for state in failed for before, after in spans) == 12
+    assert is_in_support(PERIOD_BACKTRACK, g) == witness
+
+
+@pytest.mark.parametrize("depth", [10, 1000, 50000])
+def test_a_deep_band_search_updates_the_counts_a_fixed_number_of_times(depth):
+    # band.json alternates its two letters: one update per letter placed one
+    # at a time, one per letter of the period for all the repeats together
+    gm = sample("band")
+    counts = RecordingCounts([depth, depth])
+    witness = superweyl.support._arrange(superweyl.support._letters(gm, (depth, depth)), counts, set(), 0, 0)
+    assert witness == ((0, 1), (1, 1)) * depth
+    assert counts == [0, 0] and len(counts.log) == 8
+
+
 def test_witness_check_runs_only_when_the_box_could_pass_the_cap(monkeypatch):
     def refuse(g):
         raise AssertionError("a point was checked against the witness cap")
@@ -623,6 +779,13 @@ def test_injectivity_report_matches_the_list_oracle():
         + [all_weyl_bidiagonal(3), EX_A]
         + [random_valid_gamma(rng) for _ in range(200)]
     )
+    # full rank with and without a Clifford row, the short-cut's two cases
+    full_rank = {True: [], False: []}
+    while min(map(len, full_rank.values())) < 30:
+        gm = random_valid_gamma(rng, max_n=4, max_m=3)
+        if gamma_rank_kernel(gm)[0] == gm.m:
+            full_rank[bool(gm.sig.clifford_indices)].append(gm)
+    matrices += full_rank[True][:30] + full_rank[False][:30]
     seen = set()
     for gm in matrices:
         box = [(-2, 2)] * gm.m
@@ -632,8 +795,25 @@ def test_injectivity_report_matches_the_list_oracle():
         assert report.points == expected.points, gm
         if not gm.sig.clifford_indices:
             seen.add("no Clifford row")
+        if expected.rank == gm.m and report.points:
+            seen.add("full rank, Clifford row" if gm.sig.clifford_indices else "full rank, no Clifford row")
         if not expected.p_gamma_zero_fiber:
             seen.add("zero fiber fails")
         if expected.gamma_distinct_on_box and not expected.p_gamma_distinct_on_box:
             seen.add("projection collides")
-    assert seen == {"no Clifford row", "zero fiber fails", "projection collides"}
+    assert seen == {"no Clifford row", "zero fiber fails", "projection collides",
+                    "full rank, Clifford row", "full rank, no Clifford row"}
+
+
+def test_full_rank_injectivity_without_a_clifford_row_builds_no_image(monkeypatch):
+    gm = all_weyl_bidiagonal(3)
+    box = [(-2, 2)] * 3
+    expected = list_injectivity_report(gm, box)
+    assert expected.rank == gm.m and len(expected.points) == 125
+
+    def refuse(self, g):
+        raise AssertionError("GammaMatrix.apply called")
+
+    monkeypatch.setattr(GammaMatrix, "apply", refuse)
+    report = injectivity_report(gm, box)
+    assert report.to_dict() == expected.to_dict() and report.points == expected.points
