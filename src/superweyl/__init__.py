@@ -10,6 +10,12 @@ The package is organized around one signature type and five layers:
 - ``support``: graded-support membership, enumeration, and injectivity
 - ``liesuper``: Chevalley presentations checked against operator images
 
+Importing the package loads ``algebra``, ``basering`` and ``datum``.
+``support`` and ``liesuper`` load on first use: reading one of their names
+here, or the submodule itself, imports the module once and binds its names
+into this namespace (PEP 562), so a process that never reaches them never
+compiles them.  ``__all__`` and ``from superweyl import ...`` are unaffected.
+
 Everything is pure and immutable; all indices are 0-based in the library
 and 1-based in rendered output and the CLI.
 """
@@ -57,27 +63,50 @@ from .errors import (
     SuperweylError,
     UndefinedDegreeError,
 )
-from .liesuper import (
-    Calibration,
-    LiePreset,
-    calibrate,
-    check_relations,
-    check_triangle,
-    load_calibration,
-    preset,
-    super_bracket,
-    zeta_matrix,
-)
-from .support import (
-    enumerate_support,
-    gamma_rank_kernel,
-    injectivity_report,
-    is_in_support,
-    oracle_membership,
-    verify_witness,
-)
 
 __version__ = "0.1.0"
+
+# The names each lazy module re-exports here, bound on first use.
+_LAZY = {
+    "liesuper": (
+        "Calibration",
+        "LiePreset",
+        "calibrate",
+        "check_relations",
+        "check_triangle",
+        "load_calibration",
+        "preset",
+        "super_bracket",
+        "zeta_matrix",
+    ),
+    "support": (
+        "enumerate_support",
+        "gamma_rank_kernel",
+        "injectivity_report",
+        "is_in_support",
+        "oracle_membership",
+        "verify_witness",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = name if name in _LAZY else _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    loaded = import_module(f"{__name__}.{module}")  # also binds the submodule here
+    namespace = globals()
+    for attr in _LAZY[module]:
+        namespace[attr] = getattr(loaded, attr)
+    return namespace[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})
+
 
 __all__ = [
     "BaseRingElement",

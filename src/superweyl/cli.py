@@ -23,18 +23,14 @@ from .datum import (
     validate_gamma,
 )
 from .errors import ResourceCapError, SuperweylError
-from .liesuper import (FAMILIES, calibrate, check_relations, check_triangle,
-                       load_calibration, preset)
-from .support import (
-    DEFAULT_BOX_CAP,
-    enumerate_support,
-    injectivity_report,
-    is_in_support,
-)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+# The parser tree needs these, and only the commands that use them import
+# `liesuper` and `support`; tests pin them equal to the library's values.
+FAMILIES = ("gl", "osp_even", "osp_odd")  # liesuper.FAMILIES
+DEFAULT_BOX_CAP = 10**6  # support.DEFAULT_BOX_CAP
 
 
 def _from_file(what: str, path: str, load):
@@ -208,6 +204,8 @@ def _member_payload(point, witness) -> dict:
 
 
 def _cmd_support_member(args) -> int:
+    from .support import is_in_support
+
     gm = _load_matrix(args.matrix)
     g = _parse_vector(args.g, gm.m, "-g")
     witness = is_in_support(gm, g)
@@ -217,6 +215,8 @@ def _cmd_support_member(args) -> int:
 
 
 def _cmd_support_enum(args) -> int:
+    from .support import enumerate_support
+
     gm = _load_matrix(args.matrix)
     box = _parse_box(args.box, gm.m)
     points = enumerate_support(gm, box, even_lattice=args.even_lattice, cap=args.cap)
@@ -226,6 +226,8 @@ def _cmd_support_enum(args) -> int:
 
 
 def _cmd_injectivity(args) -> int:
+    from .support import injectivity_report
+
     gm = _load_matrix(args.matrix)
     box = _parse_box(args.box, gm.m)
     report = injectivity_report(gm, box, cap=args.cap)
@@ -246,6 +248,8 @@ def _cmd_injectivity(args) -> int:
 
 
 def _cmd_lie_check(args) -> int:
+    from .liesuper import calibrate, check_relations, check_triangle, load_calibration, preset
+
     if args.calibrate and args.fixtures is not None:
         raise _UsageError("--fixtures cannot be combined with --calibrate")
     try:

@@ -39,7 +39,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -642,6 +641,8 @@ def load_calibration(preset: LiePreset, path: Optional[str] = None) -> Calibrati
     (a float in particular) raises ValueError naming the key.
     """
     if path is None:
+        from importlib import resources  # only this path reads the package data
+
         text = resources.files("superweyl").joinpath("data/lie_calibration.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:

@@ -1,9 +1,13 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -464,16 +468,56 @@ def test_element_classes_share_one_core():
     assert "star" in vars(SuperElement)
 
 
-def test_package_all_is_clean():
-    import superweyl
+# Run in a fresh interpreter, so that no earlier test's import can stand in
+# for the package's own lazy loading of support and liesuper.
+PACKAGE_SURFACE = """
+import sys
+import superweyl
 
-    names = superweyl.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert getattr(superweyl, name) is not None
-    namespace: dict = {}
-    exec("from superweyl import *", namespace)
-    assert set(names) <= set(namespace)
+names = superweyl.__all__
+assert len(names) == len(set(names))
+assert set(names) <= set(dir(superweyl))
+lazy = {"superweyl.liesuper", "superweyl.support"}
+assert not lazy & set(sys.modules)
+
+liesuper = superweyl.liesuper
+assert sys.modules["superweyl.liesuper"] is liesuper
+assert "superweyl.support" not in sys.modules
+assert vars(superweyl)["liesuper"] is liesuper
+assert vars(superweyl)["preset"] is liesuper.preset
+
+from superweyl import is_in_support
+support = sys.modules["superweyl.support"]
+assert superweyl.support is support and is_in_support is support.is_in_support
+assert vars(superweyl)["is_in_support"] is is_in_support
+
+try:
+    superweyl.nonexistent
+except AttributeError as exc:
+    assert str(exc) == "module 'superweyl' has no attribute 'nonexistent'", exc
+else:
+    raise AssertionError("superweyl.nonexistent resolved")
+
+aliases = {"SuperMonomial": "superweyl.algebra"}  # = tuple
+for name in names:
+    value = getattr(superweyl, name)
+    module = aliases.get(name, value.__module__)
+    assert module.startswith("superweyl."), name
+    assert getattr(sys.modules[module], name) is value, name
+namespace = {}
+exec("from superweyl import *", namespace)
+assert set(names) <= set(namespace)
+from superweyl import preset
+assert preset is liesuper.preset
+print("ok")
+"""
+
+
+def test_package_all_is_clean():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_SURFACE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def _codes(letters):

@@ -421,6 +421,58 @@ def test_module_entry_point_matches_run(argv, monkeypatch, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
+# Each case runs in a fresh interpreter: the statement, then the lazily
+# loaded layers it left in sys.modules.  Only the commands that run support
+# or liesuper load them.
+LOADED_LAYERS = """
+import contextlib, io, json, sys
+{}
+print(json.dumps(sorted({{"superweyl.liesuper", "superweyl.support"}} & set(sys.modules))))
+"""
+NEITHER, SUPPORT, LIESUPER = [], ["superweyl.support"], ["superweyl.liesuper"]
+BAND, NINE = str(SAMPLES / "band.json"), str(SAMPLES / "nine_point.json")
+LAYER_CASES = [
+    ("import superweyl", NEITHER),
+    ("import superweyl.cli", NEITHER),
+    (["validate", BAND], NEITHER),
+    (["datum", BAND], NEITHER),
+    (["consistency", NINE], NEITHER),
+    (["phi", BAND, "-i", "1"], NEITHER),
+    (["eval", BAND, "-w", "Y1,X1"], NEITHER),
+    (["--help"], NEITHER),
+    (["lie", "check", "-h"], NEITHER),
+    (["support", "member", BAND, "-g", "3,3"], SUPPORT),
+    (["support", "enum", BAND, "--box", "0:2,0:2"], SUPPORT),
+    (["injectivity", NINE, "--box", "-3:3,-3:3"], SUPPORT),
+    (["lie", "check", "gl", "2", "1"], LIESUPER),
+    (["lie", "check", "gl", "2", "1", "--calibrate"], LIESUPER),
+]
+
+
+@pytest.mark.parametrize("case, loaded", LAYER_CASES, ids=[
+    case if isinstance(case, str) else " ".join(Path(a).name for a in case)
+    for case, _ in LAYER_CASES])
+def test_a_cold_process_loads_only_the_layers_it_runs(case, loaded):
+    if not isinstance(case, str):
+        case = ("from superweyl.cli import run\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert run({case!r}) == 0\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", LOADED_LAYERS.format(case)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == loaded
+
+
+def test_parser_constants_match_the_library():
+    # the parser tree reads cli's copies, so that building it imports neither layer
+    from superweyl.support import DEFAULT_BOX_CAP
+
+    assert superweyl.cli.FAMILIES == superweyl.liesuper.FAMILIES
+    assert superweyl.cli.DEFAULT_BOX_CAP == DEFAULT_BOX_CAP
+
+
 def test_closed_stdout_exits_1_quietly(matrix_file):
     # about 4 MB of output, far more than a pipe holds: the command is still
     # writing when the reader goes away, as under `| head -1`
@@ -635,7 +687,6 @@ def test_lie_check_calibrate_checks_relations_once(monkeypatch, capsys):
         return check_relations(*args, **kwargs)
 
     monkeypatch.setattr(superweyl.liesuper, "check_relations", counting)
-    monkeypatch.setattr(superweyl.cli, "check_relations", counting)
     for argv in (
         ["lie", "check", "gl", "3", "2", "--calibrate"],
         ["--format", "json", "lie", "check", "osp_odd", "2", "2", "--calibrate"],
