@@ -280,9 +280,10 @@ def _cmd_lie_check(args) -> int:
             "all_pass": ok,
         }
 
+    failed = relations.residuals
     lines = [f"calibration: {message}"]
-    for r in relations.results:
-        lines.append(f"{r.label}: {'pass' if r.passed else 'FAIL residual ' + str(r.residual)}")
+    lines += [f"{label}: FAIL residual {failed[k]}" if k in failed else f"{label}: pass"
+              for k, label in enumerate(relations.labels)]
     lines.append(f"triangle x-match: {'yes' if triangle.all_x_match else 'no'}")
     lines.append(
         "h offsets: " + " ".join(str(o) for o in triangle.h_offsets)

@@ -10,25 +10,26 @@ fixed by the variant.
 
 The presentation is data: each ``Relation`` holds the two generators it
 brackets and the integer linear combination of generators the bracket
-equals, and ``_relations`` is the one place that writes these down.  The
-bracket residual of every relation is computed exactly on scaled images.
-Each residual is bilinear in the images and the central constants and shifts
-of the h images bracket to zero, so the unscaled ("raw") bracket of every
-relation depends on the preset alone: it is computed once per ``LiePreset``,
-on integer coefficient maps (exact fractions only where an image has them),
-from one summary per image.  An even image c + sum w_k x_k d_k brackets each
-monomial to a multiple of itself read off the weights.  Two image monomials
-with no index where the d of one meets the x of the other bracket to zero
-or to twice their product by a sign rule.  Only the O(rank) other pairs, in
-``gl`` the diagonal e-f pairs, take the two closed-form monomial products,
-so the O(rank^2) relations cost O(rank^2) in all, with a small constant per
-relation.  Each calibration then costs one scalar multiple of every nonzero
-raw bracket minus its right-hand side, from one table of scales and shifts
-per call; a relation with neither passes as it is.  Scale factors live in
-version-controlled fixtures; the ``calibrate`` solver re-derives them by
-exact scalar-ratio matching (the raising scale is pinned by the column-word
-comparison, the lowering scale by the diagonal e-f relations, read from the
-same raw brackets and right-hand sides) and returns the relation and
+equals, and ``_relations`` is the one place that writes these down.  Each
+residual is bilinear in the images and the central constants and shifts of
+the h images bracket to zero, so the unscaled ("raw") bracket of every
+relation depends on the preset alone: it is computed once per ``LiePreset``
+from one summary per image, and kept as scalars on the generator images.  A
+pair of images that contract in neither order, where no index has the d of
+one meeting the x of the other, and whose sign rule, read off the block
+lengths and parities of their terms, is even is zero at once
+(``_live_pairs``); an even image c + sum w_k x_k d_k against an image whose
+terms share one eigenvalue gives that eigenvalue times the image, read off
+the weights.  Only the O(rank) other pairs, the diagonal e-f pairs, take
+the closed-form monomial products, and their bracket is read off the images
+of the relation's right-hand side.  A check then costs O(1) per relation: a
+relation whose raw bracket and right-hand side are both empty passes with a
+shared zero residual, and any other compares one scalar per generator image
+and one constant; only a relation that fails builds its residual.  Scale
+factors live in version-controlled fixtures; the ``calibrate`` solver
+re-derives them by exact scalar-ratio matching (the raising scale is pinned
+by the column-word comparison, the lowering scale by the diagonal e-f
+relations, read from the same raw brackets) and returns the relation and
 triangle reports of its answer.  A preset of rank p + q above
 ``MAX_LIE_RANK`` raises ``ResourceCapError``.
 """
@@ -39,6 +40,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -50,10 +52,11 @@ from .errors import ResourceCapError
 
 FAMILIES = ("gl", "osp_even", "osp_odd")
 # Largest p + q a preset may have: a presentation holds about 3.5 (p + q)^2
-# relations, each printed and decided from the summaries of its two images;
-# only the O(p + q) whose images contract, where the d of one meets the x of
-# the other, take two monomial products per pair of terms (lie check gl 32 32
-# takes 0.05-0.08 s), and its column matrix holds (p + q)^2 entries.
+# relations, each printed and decided in O(1) from the summaries of its two
+# images; only the O(p + q) whose images contract, where the d of one meets
+# the x of the other, take monomial products (lie check gl 32 32 takes
+# about 0.03 s in process on a 2-vCPU guest), and its column matrix holds
+# (p + q)^2 entries.
 MAX_LIE_RANK = 64
 
 
@@ -165,10 +168,10 @@ class LiePreset:
         return len(self.e_images)
 
     @cached_property
-    def raw_brackets(self) -> tuple[Mapping, ...]:
+    def raw_brackets(self) -> tuple[Optional[tuple], ...]:
         """Unscaled bracket of each relation's two images, in relation order,
-        as read-only monomial -> coefficient maps (ints where the images'
-        coefficients are integral), computed on first read."""
+        as a pair (span, rest) (None when it is zero; see ``_ZERO``),
+        computed on first read."""
         return _raw_brackets(self)
 
 
@@ -180,29 +183,25 @@ def preset(family: str, p: int, q: int) -> LiePreset:
     require_valid(zeta)
     ne = zeta.m
     half = Fraction(1, 2)
-    h_const_sign = 1 if sig.sign == "minus" else -1
+    # c_i by the parity of index i
+    h_const = (half, -half) if sig.sign == "minus" else (-half, half)
+    unit = ((0, 0),) * n
 
-    def image(*blocks, const=0):
-        # blocks (index, (a, b)) at ascending indices are a normal-ordered
-        # word, so the image is that one monomial with coefficient 1
-        pairs = [(0, 0)] * n
-        for i, block in blocks:
-            pairs[i] = block
-        terms = {tuple(pairs): 1}
+    def image(i, blocks, const=0):
+        # blocks at the indices from i on are a normal-ordered word, so the
+        # image is that one monomial with coefficient 1
+        terms = {unit[:i] + blocks + unit[i + len(blocks):]: 1}
         if const:
-            terms[((0, 0),) * n] = const
+            terms[unit] = const
         return SuperElement._raw(sig, terms)
 
-    e_images = [image((j, (1, 0)), (j + 1, (0, 1))) for j in range(n - 1)]  # x_j d_{j+1}
+    e_images = [image(j, ((1, 0), (0, 1))) for j in range(n - 1)]  # x_j d_{j+1}
     if family == "osp_even":
-        e_images.append(image((n - 1, (2, 0))))  # x_n^2, on a Weyl index since q >= 1
+        e_images.append(image(n - 1, ((2, 0),)))  # x_n^2, on a Weyl index since q >= 1
     elif family == "osp_odd":
-        e_images.append(image((n - 1, (1, 0))))  # x_n
+        e_images.append(image(n - 1, ((1, 0),)))  # x_n
     f_images = [img.star() for img in e_images]
-    h_images = [
-        image((i, (1, 1)), const=h_const_sign * (half if sig.parity[i] == 0 else -half))
-        for i in range(n)
-    ]  # x_i d_i + c_i
+    h_images = [image(i, ((1, 1),), h_const[sig.parity[i]]) for i in range(n)]  # x_i d_i + c_i
 
     e_parity = []
     for j in range(ne):
@@ -240,31 +239,34 @@ def _relations(family: str, n: int, p: int) -> tuple[Relation, ...]:
     e = [("e", j) for j in range(n)]
     f = [("f", j) for j in range(n)]
     h = [("h", i) for i in range(n)]
+    new = tuple.__new__  # a Relation without the Python call of Relation.__new__
 
-    def h_weights(i, j):
+    def h_weights(js):
         # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j, negated for f_j
-        c = (i == j) - (i == j + 1)
-        if not c:
-            return Relation(h[i], e[j], ()), Relation(h[i], f[j], ())
-        return Relation(h[i], e[j], ((e[j], c),)), Relation(h[i], f[j], ((f[j], -c),))
+        out = []
+        for i, hi in enumerate(h):
+            for j in js:
+                c = (i == j) - (i == j + 1)
+                if c:
+                    out += (new(Relation, (hi, e[j], ((e[j], c),))),
+                            new(Relation, (hi, f[j], ((f[j], -c),))))
+                else:
+                    out += (new(Relation, (hi, e[j], ())), new(Relation, (hi, f[j], ())))
+        return out
 
-    rels = [Relation(h[i], h[j], ()) for i in range(n) for j in range(i + 1, n)]
     ngl = n - 1  # generators carried over from the gl presentation
-    for i in range(n):
-        for j in range(ngl):
-            rels += h_weights(i, j)
-    for i in range(ngl):
-        for j in range(ngl):
-            # [e_i, f_i] = h_i - h_{i+1}, or h_i + h_{i+1} across the odd/even seam
-            diagonal = ((h[i], 1), (h[i + 1], 1 if i == p - 1 else -1)) if i == j else ()
-            rels.append(Relation(e[i], f[j], diagonal))
+    rels = [new(Relation, (h[i], h[j], ())) for i in range(n) for j in range(i + 1, n)]
+    rels += h_weights(range(ngl))
+    # [e_i, f_i] = h_i - h_{i+1}, or h_i + h_{i+1} across the odd/even seam
+    rels += [new(Relation, (e[i], f[j], () if i != j else
+                            ((h[i], 1), (h[i + 1], 1 if i == p - 1 else -1))))
+             for i in range(ngl) for j in range(ngl)]
     if family == "osp_odd":
         last = n - 1
-        for i in range(n):
-            rels += h_weights(i, last)
-        rels.append(Relation(e[last], f[last], ((h[last], 1),)))
+        rels += h_weights((last,))
+        rels.append(new(Relation, (e[last], f[last], ((h[last], 1),))))
         for i in range(ngl):
-            rels += (Relation(e[i], f[last], ()), Relation(e[last], f[i], ()))
+            rels += (new(Relation, (e[i], f[last], ())), new(Relation, (e[last], f[i], ())))
     return tuple(rels)
 
 
@@ -277,21 +279,35 @@ class RelationResult:
 
 @dataclass
 class ResidualReport:
-    results: list[RelationResult]
+    """The label of every relation in report order and, by position, the
+    residual of each that fails; every other relation passes with the
+    shared ``zero`` residual."""
+
+    labels: list[str]
+    residuals: dict[int, SuperElement]
+    zero: SuperElement
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.results)
+        return not self.residuals
+
+    @cached_property
+    def results(self) -> list[RelationResult]:
+        failed, zero = self.residuals, self.zero
+        return [RelationResult(label, k not in failed, failed.get(k, zero))
+                for k, label in enumerate(self.labels)]
 
     def failures(self) -> list[RelationResult]:
-        return [r for r in self.results if not r.passed]
+        return [RelationResult(self.labels[k], False, r) for k, r in self.residuals.items()]
 
     def to_dict(self) -> dict:
+        failed, zero = self.residuals, str(self.zero)
         return {
             "all_pass": self.all_pass,
             "relations": [
-                {"relation": r.label, "pass": r.passed, "residual": str(r.residual)}
-                for r in self.results
+                {"relation": label, "pass": k not in failed,
+                 "residual": str(failed[k]) if k in failed else zero}
+                for k, label in enumerate(self.labels)
             ],
         }
 
@@ -347,141 +363,228 @@ def _bracket_terms(sig: Signature, a: list, b: list, pa: int, pb: int) -> dict:
 
 
 class _Summary(NamedTuple):
-    """One image as ``_raw_brackets`` reads it: its ``_support_terms``, the
-    union of their supports and, when the image is a constant plus
-    sum w_k x_k d_k, the weights ((k, w_k), ...) (None otherwise)."""
+    """One image as ``_raw_brackets`` reads it: its ``_support_terms``;
+    when it is a constant plus sum w_k x_k d_k, the weights ((k, w_k), ...)
+    (None otherwise); the unions of its x and d masks; the (length, parity)
+    bits its terms share, as 2 * length + parity (None when two differ);
+    and its first term that is not a constant, (monomial, coefficient)."""
 
     terms: list
-    support: int
     weights: Optional[tuple[tuple[int, object], ...]]
+    xs: int
+    ds: int
+    bits: Optional[int]
+    pivot: Optional[tuple]
 
 
 def _summary(sig: Signature, terms: Mapping) -> _Summary:
     terms = _support_terms(sig, terms)
-    support = 0
+    xs = ds = 0
     weights = []
-    for mono, c, xs, ds, _, _ in terms:
-        s = xs | ds
-        support |= s
+    classes = set()
+    pivot = None
+    for mono, c, x, d, length, odd in terms:
+        xs |= x
+        ds |= d
+        classes.add(2 * length + odd)
+        s = x | d
+        if s and pivot is None:
+            pivot = mono, c
         if s and weights is not None:
             k = s.bit_length() - 1
             if s != 1 << k or mono[k] != (1, 1):
                 weights = None
             else:
                 weights.append((k, c))
-    return _Summary(terms, support, None if weights is None else tuple(weights))
+    bits = classes.pop() if len(classes) == 1 else None
+    weights = None if weights is None else tuple(weights)
+    return _Summary(terms, weights, xs, ds, bits, pivot)
 
 
-def _weight_terms(weights: tuple, terms: list, sign: int) -> dict:
-    """sign * [h, X] for an even h = c + sum w_k x_k d_k and X given by its
-    ``_support_terms``.  x_k d_k commutes with every generator of another
-    index and [x_k d_k, x_k^a d_k^b] = (a - b) x_k^a d_k^b, on a Weyl index
-    and on a Clifford one alike, so each term c m of X is an eigenvector
-    with eigenvalue sum_k w_k (a_k - b_k)."""
-    out = {}
-    for mono, c, *_ in terms:
+# A raw bracket, when it is not zero, is a pair (span, rest): the bracket
+# is sum(r * image of g for g, r in span) plus rest, a read-only coefficient
+# map, on the unshifted generator images, each r nonzero.
+_EMPTY = MappingProxyType({})
+_ZERO = ((), _EMPTY)
+
+
+def _weight_ratio(weights: tuple, x: _Summary) -> Optional[object]:
+    """lam with [h, X] = lam X for an even h = c + sum w_k x_k d_k, or None.
+
+    x_k d_k commutes with every generator of another index and
+    [x_k d_k, x_k^a d_k^b] = (a - b) x_k^a d_k^b, on a Weyl index and on a
+    Clifford one alike, so each term of X is an eigenvector with eigenvalue
+    sum_k w_k (a_k - b_k); lam is that eigenvalue when all terms share it.
+    """
+    value = None
+    for mono, *_ in x.terms:
         k = 0
         for i, w in weights:
             a, b = mono[i]
             if a != b:
                 k += w * (a - b)
-        if k:
-            out[mono] = sign * k * c
-    return out
+        if value is not None and k != value:
+            return None
+        value = k
+    return value
 
 
-def _summary_bracket(sig: Signature, a: _Summary, b: _Summary, pa: int, pb: int) -> dict:
-    """ab - (-1)^(pa*pb) ba from the summaries of a and b: an even diagonal
-    operand by its weights, with no product; any other pair by
-    ``_bracket_terms``."""
-    shared = a.support & b.support
-    if a.weights is not None and not pa:
-        return _weight_terms(a.weights, b.terms, 1) if shared else {}
-    if b.weights is not None and not pb:
-        return _weight_terms(b.weights, a.terms, -1) if shared else {}
-    return _bracket_terms(sig, a.terms, b.terms, pa, pb)
+def _decompose(raw: dict, linear, info: dict) -> Optional[tuple]:
+    """A bracket map as a raw bracket over the right-hand side's generators:
+    each takes the ratio at the pivot of its image, and what those multiples
+    leave over is the rest; None when nothing is left at all."""
+    span = []
+    for g, _ in linear:
+        image = info[g][0]
+        if image.pivot is None:
+            continue
+        pivot, c = image.pivot
+        r = raw.pop(pivot, 0)
+        if r:
+            if c != 1:
+                r = Fraction(r, c)
+                r = r.numerator if r.denominator == 1 else r
+            # the pivot cancels exactly; subtract r times the other terms
+            for m, v, *_ in image.terms:
+                if m != pivot:
+                    old = raw.get(m)
+                    v = -r * v if old is None else old - r * v
+                    if v:
+                        raw[m] = v
+                    else:
+                        del raw[m]
+            span.append((g, r))
+    return (tuple(span), MappingProxyType(raw)) if span or raw else None
 
 
-def _raw_brackets(preset: LiePreset) -> tuple[Mapping, ...]:
-    """``_summary_bracket`` of each relation, on one summary per image;
-    empty brackets share one empty map."""
+def _live_pairs(sig: Signature, info: dict) -> set:
+    """The ordered generator pairs whose bracket can be nonzero: a contact,
+    where the x of one meets the d of the other at some index, or a pair of
+    (length, parity, declared parity) classes on which the sign rule of
+    ``_bracket_terms`` is odd, a generator with mixed classes pairing with
+    all.  Every other pair contracts in neither order and brackets to zero."""
+    # the sign rule is odd when l1 l2 base + o1 o2 + p1 p2 is, on the bits
+    # (length, parity, declared parity) of each generator
+    form = 0b111 if sig.sign == "plus" else 0b011
+    at_x, at_d, classes = {}, {}, {}
+    for g, (summary, parity) in info.items():
+        for masks, mask in ((at_x, summary.xs), (at_d, summary.ds)):
+            while mask:
+                low = mask & -mask
+                masks.setdefault(low, []).append(g)
+                mask ^= low
+        bits = None if summary.bits is None else 2 * summary.bits + parity
+        classes.setdefault(bits, []).append(g)
+    live = set()
+    for low, xs in at_x.items():
+        for a, b in product(xs, at_d.get(low, ())):
+            live.add((a, b))
+            live.add((b, a))
+    for v, first in classes.items():
+        for w, second in classes.items():
+            if v is None or w is None or (v & w & form).bit_count() & 1:
+                live.update(product(first, second))
+    return live
+
+
+def _raw_brackets(preset: LiePreset) -> tuple[Optional[tuple], ...]:
+    """The unscaled bracket of each relation as a raw bracket, None where it is
+    zero, from one summary per image: a pair outside ``_live_pairs`` is
+    zero at once, an even diagonal against an image whose terms share an
+    eigenvalue gives that eigenvalue times the image, and only the other
+    pairs build a map, which is then read off the relation's right-hand
+    side."""
     sig = preset.sig
-    images = {
-        kind: [_summary(sig, img.terms) for img in getattr(preset, f"{kind}_images")]
-        for kind in "efh"
-    }
-    parity = {"e": preset.e_parity, "f": preset.e_parity, "h": (0,) * preset.n}
-    empty = MappingProxyType({})
-    out = []
-    for (a, i), (b, j), _ in preset.relations:
-        bracket = _summary_bracket(sig, images[a][i], images[b][j], parity[a][i], parity[b][j])
-        out.append(MappingProxyType(bracket) if bracket else empty)
+    info = {}
+    for kind, images, parity in (("e", preset.e_images, preset.e_parity),
+                                 ("f", preset.f_images, preset.e_parity),
+                                 ("h", preset.h_images, (0,) * preset.n)):
+        for k, (img, par) in enumerate(zip(images, parity)):
+            info[kind, k] = _summary(sig, img.terms), par
+    live = _live_pairs(sig, info)
+    relations = preset.relations
+    out = [None] * len(relations)
+    for k in [k for k, (left, right, _) in enumerate(relations) if (left, right) in live]:
+        left, right, linear = relations[k]
+        (a, pa), (b, pb) = info[left], info[right]
+        r = None
+        if a.weights is not None and not pa:
+            r, gen = _weight_ratio(a.weights, b), right
+        elif b.weights is not None and not pb:
+            r, gen = _weight_ratio(b.weights, a), left
+            r = None if r is None else -r
+        if r is None:
+            out[k] = _decompose(_bracket_terms(sig, a.terms, b.terms, pa, pb), linear, info)
+        elif r:
+            out[k] = (((gen, r),), _EMPTY)
     return tuple(out)
 
 
 def _exact_int(c):
     """``_exact(c)``, an integral value as an int: int products are cheaper."""
-    c = _exact(c)
+    if type(c) is not Fraction:
+        c = _exact(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _generator_table(preset: LiePreset, cal: Calibration) -> dict:
-    """generator -> (scale, terms) of its image on a calibration, each value
-    converted once: e and f images take their scales, h images are not
-    scaled and carry their shifts on the unit monomial."""
+    """generator -> (scale, shift) on a calibration, each value converted
+    once: e and f images take their scales, h images are not scaled and
+    carry their shifts on the unit monomial."""
     table = {}
-    for kind, images, scales in (("e", preset.e_images, cal.e_scale),
-                                 ("f", preset.f_images, cal.f_scale)):
-        for k, (img, scale) in enumerate(zip(images, scales)):
-            table[kind, k] = (_exact_int(scale), img.terms)
-    one = SuperElement._unit_key(preset.sig)
-    for k, (img, shift) in enumerate(zip(preset.h_images, cal.h_shift)):
-        shift = _exact_int(shift)
-        terms = accumulate_terms(dict(img.terms), ((one, shift),)) if shift else img.terms
-        table["h", k] = (1, terms)
+    for kind, scales in (("e", cal.e_scale), ("f", cal.f_scale)):
+        for k, scale in enumerate(scales):
+            table[kind, k] = (_exact_int(scale), 0)
+    for k, shift in enumerate(cal.h_shift):
+        table["h", k] = (1, _exact_int(shift))
     return table
 
 
-def _scaled_terms(scale, terms: Mapping) -> dict:
-    """scale times a coefficient map, as a new map."""
-    return {m: scale * c for m, c in terms.items()} if scale else {}
+def _image_terms(preset: LiePreset, generator: tuple[str, int]) -> Mapping:
+    kind, k = generator
+    return getattr(preset, f"{kind}_images")[k].terms
 
 
-def _linear_terms(table: dict, linear, sign: int):
-    """(monomial, coefficient) pairs of sign times a right-hand side on the
-    images of ``_generator_table``."""
-    for generator, coeff in linear:
-        scale, terms = table[generator]
-        c = sign * coeff * scale
-        yield from ((m, c * v) for m, v in terms.items())
-
-
-def _residual_terms(table: dict, rel: Relation, raw: Mapping) -> dict:
-    """Scaled raw bracket minus the relation's right-hand side."""
-    acc = _scaled_terms(table[rel.left][0] * table[rel.right][0], raw)
-    if rel.linear:
-        accumulate_terms(acc, _linear_terms(table, rel.linear, -1))
+def _residual_terms(preset: LiePreset, coeffs: dict, const, rest: Mapping, scale) -> dict:
+    """sum(c * image of g for g, c in coeffs) + const + scale * rest, as a
+    map: the residual of a relation whose scalars did not all vanish."""
+    acc: dict = {}
+    for g, c in coeffs.items():
+        if c:
+            accumulate_terms(acc, ((m, c * v) for m, v in _image_terms(preset, g).items()))
+    if const:
+        accumulate_terms(acc, ((SuperElement._unit_key(preset.sig), const),))
+    if scale:
+        accumulate_terms(acc, ((m, scale * v) for m, v in rest.items()))
     return acc
 
 
 def check_relations(preset: LiePreset, scalings: Optional[Calibration] = None) -> ResidualReport:
-    """Residual of every listed relation on the scaled images; a relation
-    whose raw bracket and right-hand side are both empty passes unscaled."""
-    return _relation_report(preset, _generator_table(preset, scalings or preset.scalings))
-
-
-def _relation_report(preset: LiePreset, table: dict) -> ResidualReport:
-    """``check_relations`` on a table already built by ``_generator_table``."""
-    sig = preset.sig
-    zero = SuperElement.zero(sig)
-    results = []
-    for rel, raw in zip(preset.relations, preset.raw_brackets):
-        if not (raw or rel.linear):
-            results.append(RelationResult(rel.label, True, zero))
-            continue
-        terms = _residual_terms(table, rel, raw)
-        results.append(RelationResult(rel.label, not terms, SuperElement._raw(sig, terms)))
-    return ResidualReport(results)
+    """Residual of every listed relation on the scaled images.  A relation
+    whose raw bracket and right-hand side are both empty passes unscaled;
+    any other is scaled bracket minus right-hand side as one scalar per
+    generator image and a constant from the h shifts, and passes when these
+    all vanish; only otherwise is its residual built."""
+    table = _generator_table(preset, scalings or preset.scalings)
+    names = {g: f"{g[0]}{g[1] + 1}" for g in table}
+    relations, raws = preset.relations, preset.raw_brackets
+    labels = [f"[{names[left]},{names[right]}]" for left, right, _ in relations]
+    residuals = {}
+    for k in [k for k, raw in enumerate(raws) if raw is not None or relations[k].linear]:
+        (left, right, linear), raw = relations[k], raws[k]
+        span, rest = raw or _ZERO
+        scale = table[left][0] * table[right][0]
+        coeffs = {g: scale * r for g, r in span}
+        const = 0
+        for g, c in linear:
+            s, shift = table[g]
+            coeffs[g] = coeffs.get(g, 0) - c * s
+            const -= c * shift
+        if const or rest and scale or any(coeffs.values()):
+            terms = _residual_terms(preset, coeffs, const, rest, scale)
+            if terms:
+                residuals[k] = SuperElement._raw(preset.sig, terms)
+    return ResidualReport(labels, residuals, SuperElement.zero(preset.sig))
 
 
 @dataclass
@@ -537,16 +640,26 @@ def _triangle(preset: LiePreset, cal: Calibration, words: list[SuperElement]) ->
     """``check_triangle`` on column words already built, on coefficient maps:
     each word against its scaled raising image, and each shifted h image
     minus x_i d_i, the embedded ring side."""
-    sig = preset.sig
-    x_matches = [word.terms == _scaled_terms(_exact_int(scale), img.terms)
+    x_matches = [_is_multiple(word.terms, img.terms, _exact_int(scale))
                  for word, img, scale in zip(words, preset.e_images, cal.e_scale)]
-    one = SuperElement._unit_key(sig)
+    one = SuperElement._unit_key(preset.sig)
     h_offsets: list[Optional[Fraction]] = []
     for i, (img, shift) in enumerate(zip(preset.h_images, cal.h_shift)):
-        xd = one[:i] + ((1, 1),) + one[i + 1:]
-        diff = accumulate_terms(dict(img.terms), ((one, _exact_int(shift)), (xd, -1)))
-        h_offsets.append(SuperElement._raw(sig, diff).constant_value())
+        # img + shift - x_i d_i is a constant iff img is x_i d_i plus a constant
+        terms = img.terms
+        if terms.get(one[:i] + ((1, 1),) + one[i + 1:]) != 1 or len(terms) != 1 + (one in terms):
+            h_offsets.append(None)
+        elif shift:
+            h_offsets.append(terms.get(one, 0) + _exact_int(shift) or 0)
+        else:
+            h_offsets.append(terms.get(one, 0))
     return TriangleReport(x_matches, h_offsets, cal.expected_h_offsets)
+
+
+def _is_multiple(num: Mapping, den: Mapping, n, c=1) -> bool:
+    """num == (n / c) * den on coefficient maps, with no map or quotient built."""
+    return len(num) == (len(den) if n else 0) and all(
+        num.get(m, 0) * c == n * v for m, v in den.items())
 
 
 def _scalar_ratio(num: Mapping, den: Mapping) -> Optional[Fraction]:
@@ -554,8 +667,23 @@ def _scalar_ratio(num: Mapping, den: Mapping) -> Optional[Fraction]:
     if not den:
         return Fraction(1) if not num else None
     mono, c = next(iter(den.items()))
-    rho = Fraction(num.get(mono, 0), c)
-    return rho if num == ({m: rho * v for m, v in den.items()} if rho else {}) else None
+    n = num.get(mono, 0)
+    return Fraction(n, c) if _is_multiple(num, den, n, c) else None
+
+
+def _target_ratio(preset: LiePreset, linear, raw: Optional[tuple]) -> Optional[Fraction]:
+    """rho with the unscaled right-hand side equal to rho * raw: one scalar
+    per image when raw spans the same images, else on maps."""
+    span, rest = raw or _ZERO
+    found = dict(span)
+    if linear and not rest and len(found) == len(linear) == len({g for g, _ in linear} & found.keys()):
+        g, c = linear[0]
+        r = found[g]
+        if all(d * r == c * found[h] for h, d in linear):
+            return Fraction(c, r)
+    target = accumulate_terms({}, (
+        (m, c * v) for g, c in linear for m, v in _image_terms(preset, g).items()))
+    return _scalar_ratio(target, _residual_terms(preset, found, 0, rest, 1))
 
 
 @dataclass
@@ -577,12 +705,11 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
     """
     ne, n = preset.ne, preset.n
     unit = unit_calibration(ne, n)
-    table = _generator_table(preset, unit)
     words = _column_words(preset)
 
     def failed(message: str) -> CalibrationResult:
-        report, triangle = _relation_report(preset, table), _triangle(preset, unit, words)
-        return CalibrationResult(unit, False, message, report, triangle)
+        report = check_relations(preset, unit)
+        return CalibrationResult(unit, False, message, report, _triangle(preset, unit, words))
 
     e_scale = []
     for c in range(ne):
@@ -591,12 +718,11 @@ def calibrate(preset: LiePreset) -> CalibrationResult:
             return failed(f"column word {c + 1} is not a scalar multiple of the raising image")
         e_scale.append(rho)
     f_scale = [Fraction(1)] * ne
-    for rel, raw in zip(preset.relations, preset.raw_brackets):
-        kind, i = rel.left
-        if kind != "e" or rel.right != ("f", i):
-            continue
-        target = accumulate_terms({}, _linear_terms(table, rel.linear, 1))
-        rho = _scalar_ratio(target, raw)
+    diagonal = [(rel, raw) for rel, raw in zip(preset.relations, preset.raw_brackets)
+                 if rel.right[0] == "f" and rel.left == ("e", rel.right[1])]
+    for rel, raw in diagonal:
+        i = rel.left[1]
+        rho = _target_ratio(preset, rel.linear, raw)
         if rho is None or rho == 0:
             return failed(f"relation {rel.label} is not a scalar away from its target")
         f_scale[i] = rho / e_scale[i]
@@ -641,9 +767,9 @@ def load_calibration(preset: LiePreset, path: Optional[str] = None) -> Calibrati
     (a float in particular) raises ValueError naming the key.
     """
     if path is None:
-        from importlib import resources  # only this path reads the package data
+        from pkgutil import get_data  # only this path reads the package data
 
-        text = resources.files("superweyl").joinpath("data/lie_calibration.json").read_text()
+        text = get_data(__package__, "data/lie_calibration.json")
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -662,5 +788,6 @@ def load_calibration(preset: LiePreset, path: Optional[str] = None) -> Calibrati
         f_scale[-1] = value("f_scale_last")
     h_shift = [value("h_shift")] * n
     off = value("h_offset_scale")
-    expected = tuple(off * (1 if preset.sig.parity[i] == 0 else -1) for i in range(n))
+    offsets = (off, -off)
+    expected = tuple(offsets[parity] for parity in preset.sig.parity)
     return Calibration(tuple(e_scale), tuple(f_scale), tuple(h_shift), expected)

@@ -60,7 +60,6 @@ search and exists to validate it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -541,7 +540,13 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def gamma_rank_kernel(gm: GammaMatrix) -> tuple[int, list[tuple[int, ...]]]:
-    """Rational rank and an integer kernel basis, by unimodular column ops."""
+    """Rational rank and an integer kernel basis, by unimodular column ops.
+
+    The ops keep ``track`` unimodular with cols = gamma * track, so an
+    integer kernel vector v has integer coordinates track^-1 v, nonzero only
+    on the kernel columns: those columns are a basis of the integer kernel
+    as they stand, each primitive, with no common factor to divide out.
+    Each is signed to lead with a positive entry."""
     n, m = gm.n, gm.m
     cols = [list(gm.column(c)) for c in range(m)]
     track = [[1 if i == c else 0 for i in range(m)] for c in range(m)]
@@ -567,11 +572,6 @@ def gamma_rank_kernel(gm: GammaMatrix) -> tuple[int, list[tuple[int, ...]]]:
     kernel = []
     for c in range(pc, m):
         vec = track[c]
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
-        if g > 1:
-            vec = [v // g for v in vec]
         lead = next((v for v in vec if v), 0)
         if lead < 0:
             vec = [-v for v in vec]

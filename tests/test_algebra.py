@@ -617,6 +617,23 @@ def test_word_term_cap_boundary(monkeypatch):
         word_element(sig, word(22, 1086))  # 23 * 1087 terms
 
 
+def test_fold_size_counts_the_terms_of_the_fold():
+    # the term cap is checked on _fold_size before any fold runs, so its count
+    # must be the fold's own, on Weyl subwords of 2 to 5 runs (every run after
+    # the first opens with x, every run before the last closes with d)
+    rng = random.Random(3109)
+    sizes = set()
+    for _ in range(3000):
+        runs = rng.randint(2, 5)
+        counts = []
+        for j in range(runs):
+            counts += [rng.randint(1 if j else 0, 4), rng.randint(1 if j < runs - 1 else 0, 4)]
+        terms = list(superweyl.algebra._weyl_fold(counts))
+        assert superweyl.algebra._fold_size(counts)[0] == len(terms), counts
+        sizes.add((runs, len(terms)))
+    assert {runs for runs, _ in sizes} == {2, 3, 4, 5} and max(t for _, t in sizes) > 5
+
+
 def test_fold_work_cap_boundary(monkeypatch):
     # d^b0 x^a1 d^b1 x^a2 at one index does 1 + min(b0, a1) updates on its
     # first contraction, then (1 + min(b0, a1)) (1 + min(b0 + b1, a2)) more

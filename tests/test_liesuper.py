@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import random
@@ -270,6 +271,63 @@ def test_check_relations_matches_expanded_oracle():
             _assert_matches_oracle(check_relations(pre, cal), expected)
 
 
+def _scaled_generator(pre, cal, generator):
+    kind, k = generator
+    if kind == "h":
+        return pre.h_images[k] + cal.h_shift[k] * SuperElement.one(pre.sig)
+    scales = cal.e_scale if kind == "e" else cal.f_scale
+    return scales[k] * getattr(pre, f"{kind}_images")[k]
+
+
+def test_check_relations_matches_the_oracle_where_relations_fail():
+    # a relation's residual is built only where its scalars do not vanish, so
+    # the failure path is compared with the expanded oracle on single
+    # perturbations of the fixture: one wrong e or f scale, one nonzero h
+    # shift, a fractional last f scale, and one wrong right-hand side
+    rng = random.Random(1307)
+    failing = collections.Counter()
+    for family, p, q in UP_TO_SIX:
+        pre = preset(family, p, q)
+        fixture = load_calibration(pre)
+
+        def bent(field, k, value):
+            values = list(getattr(fixture, field))
+            values[k] = value
+            return dataclasses.replace(fixture, **{field: tuple(values)})
+
+        def fraction():
+            return Fraction(rng.choice([-3, -1, 2, 3, 5]), rng.choice([1, 2, 3]))
+
+        perturbed = {
+            "e scale": bent("e_scale", rng.randrange(pre.ne), fixture.e_scale[0] + fraction()),
+            "f scale": bent("f_scale", rng.randrange(pre.ne), fixture.f_scale[0] + fraction()),
+            "h shift": bent("h_shift", rng.randrange(pre.n), fraction()),
+            "last f scale": bent("f_scale", pre.ne - 1, Fraction(rng.choice([1, 3, -5]), 4)),
+        }
+        for name, cal in perturbed.items():
+            expected = expanded_relations(pre, cal)
+            _assert_matches_oracle(check_relations(pre, cal), expected)
+            failing[name] += sum(not passed for _, passed, _ in expected)
+        with_rhs = [k for k, rel in enumerate(pre.relations) if rel.linear]
+        if not with_rhs:  # osp_even 0 1 lists no relation
+            continue
+        k = rng.choice(with_rhs)
+        rel = pre.relations[k]
+        (generator, c), *others = rel.linear
+        wrong = c + (1 if c > 0 else -1) * rng.choice([1, 2])
+        relations = list(pre.relations)
+        relations[k] = rel._replace(linear=((generator, wrong), *others))
+        expected = expanded_relations(pre, fixture)
+        label, _, residual = expected[k]
+        residual = residual - (wrong - c) * _scaled_generator(pre, fixture, generator)
+        expected[k] = (label, residual.is_zero, residual)
+        report = check_relations(dataclasses.replace(pre, relations=tuple(relations)), fixture)
+        _assert_matches_oracle(report, expected)
+        assert [r.label for r in report.failures()] == [label]
+        failing["right-hand side"] += 1
+    assert len(failing) == 5 and min(failing.values()) > 30
+
+
 def _paired_bracket(sig, a, b, pa, pb):
     """ab - (-1)^(pa*pb) ba as m1*m2 + swap * m2*m1 over every pair of terms."""
     swap = 1 if pa & pb else -1
@@ -335,30 +393,20 @@ def _operand(sig, rng):
 
 
 def test_bracket_terms_match_paired_products(monkeypatch):
-    # _bracket_terms, and _summary_bracket on the summaries of the same maps,
-    # against both products of every pair of terms; a pair of terms that
-    # shares an index but contracts in neither order takes at most one product
+    # _bracket_terms, and the two rules _raw_brackets applies before it,
+    # against both products of every pair of terms: a pair outside
+    # _live_pairs brackets to zero, and an even diagonal operand brackets to
+    # the multiple of the other that _weight_ratio reads off its weights; a
+    # pair of terms that shares an index but contracts in neither order
+    # takes at most one product
     rng = random.Random(907)
     seen = set()
-    branches = set()
-    called = []
     multiplied = []
-    bracket_terms, weight_terms = liesuper._bracket_terms, liesuper._weight_terms
 
     def counting_product(*args):
         multiplied.append(args)
         return _mono_product(*args)
 
-    def products(*args):
-        called.append("products")
-        return bracket_terms(*args)
-
-    def weights(w, terms, sign):
-        called.append("weights left" if sign > 0 else "weights right")
-        return weight_terms(w, terms, sign)
-
-    monkeypatch.setattr(liesuper, "_bracket_terms", products)
-    monkeypatch.setattr(liesuper, "_weight_terms", weights)
     monkeypatch.setattr(liesuper, "_mono_product", counting_product)
     for _ in range(10_000):
         parity = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 5)))
@@ -366,31 +414,28 @@ def test_bracket_terms_match_paired_products(monkeypatch):
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
         (shape_a, a), (shape_b, b) = _operand(sig, rng), _operand(sig, rng)
         expected = _paired_bracket(sig, a, b, pa, pb)
-        assert bracket_terms(
-            sig, liesuper._support_terms(sig, a), liesuper._support_terms(sig, b), pa, pb,
-        ) == expected
         sa, sb = liesuper._summary(sig, a), liesuper._summary(sig, b)
-        called.clear()
-        assert liesuper._summary_bracket(sig, sa, sb, pa, pb) == expected
-        assert len(called) <= 1
-        even_diagonal = sa.weights is not None and not pa or sb.weights is not None and not pb
-        assert called or even_diagonal
-        branch = called[0] if called else "weights, disjoint"
-        branches.add(branch)
-        if branch.startswith("weights "):
-            used = sa if branch == "weights left" else sb
-            other = sb if branch == "weights left" else sa
-            for k, w in used.weights:
-                if other.support >> k & 1:
+        assert liesuper._bracket_terms(sig, sa.terms, sb.terms, pa, pb) == expected
+        seen.update(("operand", shape) for shape in (shape_a, shape_b))
+        if sa.weights is not None and pa or sb.weights is not None and pb:
+            seen.add(("operand", "diagonal declared odd"))
+        live = liesuper._live_pairs(sig, {"a": (sa, pa), "b": (sb, pb)})
+        contact = sa.xs & sb.ds or sa.ds & sb.xs
+        if ("a", "b") not in live:
+            assert not expected and not contact
+            seen.add(("zero", "sharing an index" if (sa.xs | sa.ds) & (sb.xs | sb.ds) else "disjoint"))
+        else:
+            seen.add(("live", "contact" if contact else "mixed" if None in (sa.bits, sb.bits)
+                      else "odd sign"))
+        for (x, px), (y, other), sign in (((sa, pa), (sb, b), 1), ((sb, pb), (sa, a), -1)):
+            lam = None if x.weights is None or px else liesuper._weight_ratio(x.weights, y)
+            if lam is None:
+                continue
+            assert expected == {m: sign * lam * c for m, c in other.items() if lam}
+            for k, w in x.weights:
+                if (y.xs | y.ds) >> k & 1:
                     seen.add(("weights", "clifford" if sig.is_clifford(k) else "weyl",
                               type(w).__name__))
-        elif branch == "products":
-            seen.update(("products", shape) for shape in (shape_a, shape_b) if shape != "sparse")
-            if (sa.weights is not None and pa) or (sb.weights is not None and pb):
-                seen.add(("products", "diagonal declared odd"))
-            classes = [{term[4:] for term in x.terms} for x in (sa, sb)]
-            if not sa.support & sb.support and max(map(len, classes)) > 1:
-                seen.add(("products", "disjoint, mixed class"))
         for m1 in a:
             for m2 in b:
                 shared = [i for i in range(sig.n) if any(m1[i]) and any(m2[i])]
@@ -406,11 +451,10 @@ def test_bracket_terms_match_paired_products(monkeypatch):
                 if shared and not contracting:
                     multiplied.clear()
                     pair = [liesuper._support_terms(sig, {m: 1}) for m in (m1, m2)]
-                    assert bracket_terms(sig, *pair, pa, pb) == _paired_bracket(
+                    assert liesuper._bracket_terms(sig, *pair, pa, pb) == _paired_bracket(
                         sig, {m1: 1}, {m2: 1}, pa, pb)
                     assert len(multiplied) <= 1
                     seen.add((sig.sign, "shared", "contracting in neither order"))
-    assert branches == {"weights left", "weights right", "weights, disjoint", "products"}
     assert seen == {
         (sign, kind, case)
         for sign in ("plus", "minus")
@@ -424,9 +468,11 @@ def test_bracket_terms_match_paired_products(monkeypatch):
         ("weights", index, weight) for index in ("clifford", "weyl")
         for weight in ("int", "Fraction")
     } | {
-        ("products", shape) for shape in (
-            "diagonal", "x^2 d^2", "x_k d_j", "diagonal declared odd", "disjoint, mixed class",
-        )
+        ("zero", "disjoint"), ("zero", "sharing an index"),
+        ("live", "contact"), ("live", "mixed"), ("live", "odd sign"),
+    } | {
+        ("operand", shape)
+        for shape in ("diagonal", "x^2 d^2", "x_k d_j", "sparse", "diagonal declared odd")
     }
 
 
@@ -466,11 +512,17 @@ def test_check_relations_scales_only_nonzero_relations(monkeypatch):
     monkeypatch.setattr(liesuper, "_exact_int", counting_conversion)
     report = check_relations(pre, cal)
     assert report.all_pass and len(report.results) == 220
-    # 182 relations have an empty raw bracket and no right-hand side, so 38
-    # residuals are built
-    assert len(residuals) == 38
+    # 182 relations have an empty raw bracket and no right-hand side; the
+    # other 38 are decided by their scalars, and as they pass no residual is
+    # built
+    assert sum(raw is not None or bool(rel.linear)
+               for rel, raw in zip(pre.relations, pre.raw_brackets)) == 38
+    assert residuals == []
     # each scale factor and h shift is converted at most once per call
     assert len(conversions) <= len(cal.e_scale) + len(cal.f_scale) + len(cal.h_shift)
+    # the unit calibration fails [e8,f8] alone, and builds its residual alone
+    report = check_relations(pre)
+    assert [r.label for r in report.failures()] == ["[e8,f8]"] and len(residuals) == 1
     # an empty raw bracket with a right-hand side still has a residual
     wrong = liesuper.Relation(("h", 0), ("h", 1), ((("e", 0), 1),))
     report = check_relations(dataclasses.replace(pre, relations=(wrong,)))
@@ -621,7 +673,7 @@ def test_lie_check_runs_the_triangle_once_on_words_built_once(monkeypatch, capsy
     capsys.readouterr()
 
 
-def test_lie_check_embeds_nothing_and_calibrate_builds_two_tables(monkeypatch, capsys):
+def test_lie_check_embeds_nothing_and_calibrate_builds_one_table(monkeypatch, capsys):
     calls = {"iota": 0, "table": 0}
     iota, table = iota_embed, liesuper._generator_table
 
@@ -646,16 +698,17 @@ def test_lie_check_embeds_nothing_and_calibrate_builds_two_tables(monkeypatch, c
     ):
         calls.update(iota=0, table=0)
         assert run(argv) == 0
-        assert calls["iota"] == 0 and calls["table"] <= 2
+        assert calls["iota"] == 0 and calls["table"] == 1
     capsys.readouterr()
-    # the unit table serves the lowering scales and a failed calibration
+    # the lowering scales are read off the raw brackets with no table: the
+    # one table is that of the calibration returned, solved or not
     pre = preset("gl", 2, 2)
     one = SuperElement.one(pre.sig)
     for candidate in (pre, dataclasses.replace(
             pre, e_images=(pre.e_images[0] + one,) + pre.e_images[1:])):
         calls.update(iota=0, table=0)
-        result = calibrate(candidate)
-        assert calls == {"iota": 0, "table": 2 if result.solved else 1}
+        calibrate(candidate)
+        assert calls == {"iota": 0, "table": 1}
 
 
 def test_h_offsets_subtract_the_embedded_ring_side():

@@ -2,7 +2,9 @@ import collections
 import functools
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
@@ -286,6 +288,51 @@ def test_rank_kernel_examples():
     for gm in inj_example_matrices().values():
         rank, kernel = gamma_rank_kernel(gm)
         assert rank == gm.m and kernel == []
+
+
+def _det(rows):
+    """Exact determinant, by elimination over the rationals."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(a)):
+        p = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return int(det)
+
+
+def test_rank_kernel_is_a_basis_of_the_integer_kernel():
+    # the kernel vectors are columns of a unimodular transform, so the gcd of
+    # their maximal minors is 1: they span every integer vector of the kernel
+    # they lie in, with no common factor to divide out
+    rng = random.Random(571)
+    widths = collections.Counter()
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(2, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            # a dependent last row, so the kernel is wider than m - n
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1 % (n - 1)])]
+        gm = GammaMatrix(Signature("minus", (0,) * n), tuple(map(tuple, rows)))
+        rank, kernel = gamma_rank_kernel(gm)
+        assert rank + len(kernel) == m
+        for vec in kernel:
+            assert gm.apply(vec) == (0,) * n
+        if kernel:
+            k = len(kernel)
+            minors = [_det([[kernel[j][i] for j in range(k)] for i in chosen])
+                      for chosen in itertools.combinations(range(m), k)]
+            assert functools.reduce(math.gcd, minors) == 1, (rows, kernel)
+            widths[k] += 1
+    assert set(widths) == {1, 2, 3, 4}
 
 
 def test_rank_kernel_random_consistency():
@@ -675,6 +722,19 @@ def test_first_point_over_the_witness_cap_is_named(monkeypatch):
     monkeypatch.setattr(superweyl.support, "MAX_ENUM_LETTERS", 15)
     with pytest.raises(ResourceCapError, match="exceed the enumeration cap of 15 letters"):
         enumerate_support(sample("band"), [(5, 5), (4, 6)])
+
+
+def test_searched_point_at_the_witness_cap_answers(monkeypatch):
+    # (11, 1) touches the Clifford row through the last column, so the box
+    # walk searches it: its 12 letters answer under a cap of 12, and one
+    # letter over the cap is refused
+    gm = GammaMatrix(Signature("minus", (0, 1)), ((1, 0), (0, 1)))
+    box = [(11, 11), (1, 1)]
+    monkeypatch.setattr(superweyl.support, "MAX_WITNESS_LETTERS", 12)
+    assert [(g, len(w)) for g, w in enumerate_support(gm, box)] == [((11, 1), 12)]
+    monkeypatch.setattr(superweyl.support, "MAX_WITNESS_LETTERS", 11)
+    with pytest.raises(ResourceCapError, match=r"\|g\| = 12 exceeds the witness cap 11"):
+        enumerate_support(gm, box)
 
 
 def test_enumeration_cap_stops_the_search_point_by_point(monkeypatch):
